@@ -37,7 +37,8 @@ for record in result.trace:
     print(f"  iteration {record['iteration']}: shown {record['shown']} judged {marks}")
 
 frozen = result.frozen
-print(f"\nfrozen prefix ({len(frozen.frozen_prefix)} results): {frozen.frozen_prefix}")
+prefix = [pid for block in frozen.shown_blocks[:-1] for pid in block]
+print(f"\nfrozen prefix ({len(prefix)} results): {prefix}")
 print(f"tail starts with: {frozen.tail.ids()[:5]}")
 
 full = freeze_ranking(frozen)

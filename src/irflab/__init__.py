@@ -41,7 +41,7 @@ from .feedback import (
     update_pools,
 )
 from .fusion import FusionConfig, fused_rank, semantic_score
-from .index import Index, build_index, collection_prob, load_index, save_index, tfidf_vector
+from .index import Index, build_index, collection_prob, tfidf_vector
 from .retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio, read_run, write_run
 from .simulation import (
     EngineContext,
@@ -62,9 +62,9 @@ __all__ = [
     "TokenizerConfig", "TrainConfig", "build_index", "collection_prob", "cosine",
     "cross_validate_grid", "estimate_distillation", "estimate_erm", "estimate_rm3",
     "evaluate_ranking", "fisher_randomization", "freeze_ranking", "fused_rank", "generate",
-    "ingest_corpus", "load_index", "load_model", "load_qrels", "load_queries", "passage_vector",
+    "ingest_corpus", "load_model", "load_qrels", "load_queries", "passage_vector",
     "query_mle", "rank_bm25", "rank_ql", "rank_rocchio", "read_run", "rocchio_update",
-    "run_irf_session", "run_one_rel_experiment", "save_index", "save_model", "segment_document",
+    "run_irf_session", "run_one_rel_experiment", "save_model", "segment_document",
     "semantic_score", "tfidf_vector", "tokenize", "train_pv_hdc", "train_skipgram",
     "update_pools", "write_run",
 ]

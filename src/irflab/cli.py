@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands: gen-synth, build-index, train-embeddings, run-irf, run-onerel,
-eval, significance. Exit codes: 0 success, 1 runtime failure, 2 usage or
+Commands: gen-synth, train-embeddings, run-irf, run-onerel, eval,
+significance. Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error. Every command that takes a seed is reproducible
-byte-for-byte in deterministic mode.
+byte-for-byte. Every command accepts --threads and --deterministic; only
+run-irf reads them, to size its per-query session pool.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .experiments import (
     onerel_experiment,
     significance_between,
 )
-from .index import build_index, save_index
 from .synthgen import GeneratorConfig, generate, write_dataset
 
 logger = logging.getLogger("irflab")
@@ -36,9 +36,10 @@ CLI_TRAIN_MODES = {"skipgram": "skipgram", "pv-hdc": "pv_hdc", "pvc": "pv_hdc_co
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="run-irf: number of query sessions run in parallel")
     parser.add_argument("--deterministic", action="store_true",
-                        help="force single-worker execution for reproducible output")
+                        help="run-irf: force one session at a time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=int, default=1500)
     p.add_argument("--vocab", type=int, default=500)
     p.add_argument("--concentration", type=float, default=0.6)
-    _add_common(p)
-
-    p = sub.add_parser("build-index", help="ingest a corpus and write an index snapshot")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stemming", choices=("none", "s", "porter"), default="s")
-    p.add_argument("--stopwords", default="default", help="'default', 'none', or a word-list file")
     _add_common(p)
 
     p = sub.add_parser("train-embeddings", help="train word/passage embeddings")
@@ -131,21 +125,6 @@ def _cmd_gen_synth(args) -> int:
     return 0
 
 
-def _cmd_build_index(args) -> int:
-    if args.stopwords == "default":
-        tokenizer = TokenizerConfig(stemming=args.stemming)
-    elif args.stopwords == "none":
-        tokenizer = TokenizerConfig(stopwords=frozenset(), stemming=args.stemming)
-    else:
-        words = frozenset(Path(args.stopwords).read_text(encoding="utf-8").split())
-        tokenizer = TokenizerConfig(stopwords=words, stemming=args.stemming)
-    collection = ingest_corpus(args.corpus, tokenizer)
-    index = build_index(collection)
-    save_index(index, args.out)
-    print(f"indexed {index.passage_count} passages, {len(index.postings)} terms -> {args.out}")
-    return 0
-
-
 def _cmd_train_embeddings(args) -> int:
     tokenizer = TokenizerConfig.embedding()
     collection = ingest_corpus(args.corpus, tokenizer)
@@ -159,7 +138,6 @@ def _cmd_train_embeddings(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         corruption_q=args.corruption_q,
         mode=CLI_TRAIN_MODES[args.mode],
-        workers=_threads(args),
     )
     trainer = train_skipgram if config.mode == "skipgram" else train_pv_hdc
     model = trainer(collection, config)
@@ -176,7 +154,7 @@ def _cmd_run_irf(args) -> int:
 
 
 def _cmd_run_onerel(args) -> int:
-    summary = onerel_experiment(_load_config(args), threads=_threads(args))
+    summary = onerel_experiment(_load_config(args))
     columns = list(next(iter(summary.values())))
     print(format_table(summary, columns, "one-relevant-passage experiment"))
     return 0
@@ -205,7 +183,6 @@ def _cmd_significance(args) -> int:
 
 _COMMANDS = {
     "gen-synth": _cmd_gen_synth,
-    "build-index": _cmd_build_index,
     "train-embeddings": _cmd_train_embeddings,
     "run-irf": _cmd_run_irf,
     "run-onerel": _cmd_run_onerel,

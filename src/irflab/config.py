@@ -42,7 +42,7 @@ _SCHEMA: dict = {
     "fusion": {"enabled": None, "lambda_sf": None, "lambda_grid": None},
     "session": {"settings": None, "depth": None},
     "onerel": {"draws": None, "methods": None},
-    "evaluation": {"metrics": None, "folds": None, "permutations": None},
+    "evaluation": {"metrics": None, "folds": None},
 }
 
 

@@ -76,13 +76,10 @@ class TokenizerConfig:
 
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
     stemming: str = "s"
-    lowercase: bool = True
 
     def __post_init__(self):
         if self.stemming not in STEMMERS:
             raise ValueError(f"unknown stemming mode {self.stemming!r}; expected one of {STEMMERS}")
-        if not self.lowercase:
-            raise ValueError("lowercasing is always applied; lowercase=False is not supported")
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
 
     @classmethod
@@ -155,13 +152,6 @@ class PassageCollection:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(p.passage_id for p in self._passages)
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        vocab: set[str] = set()
-        for p in self._passages:
-            vocab.update(p.tokens)
-        return frozenset(vocab)
 
 
 @dataclass

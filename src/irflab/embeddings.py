@@ -9,13 +9,15 @@ Three trainers share one loss core:
                       embeddings, resampled every optimizer step; the
                       stored passage vector is the plain mean
 
-Batch size counts target positions and is the unit of work dispatched per
-optimizer round (and per worker in parallel mode); within a batch the
-gradients of each target position are summed and applied immediately,
-word2vec style, which keeps high-frequency rows stable at the default
-learning rate. Deterministic mode (workers=1, fixed seed) is bit-for-bit
-reproducible; with workers > 1 batches race on the shared parameter
-matrices and only convergence invariants are promised.
+Batch size counts target positions and is the unit of work of one
+optimizer round; within a batch the gradients of each target position are
+summed and applied immediately, word2vec style, which keeps high-frequency
+rows stable at the default learning rate. Training is single-threaded and,
+for a fixed seed, bit-for-bit reproducible. The vocabulary and its
+frequencies come from build_index.
+
+Model files are version-tagged little-endian snapshots; a truncated file or
+one with trailing bytes is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Passage, PassageCollection
-from .index import Index, idf
+from .index import Index, build_index, idf
 
 logger = logging.getLogger(__name__)
 
@@ -57,15 +58,14 @@ class TrainConfig:
     seed: int = 0
     corruption_q: float = 0.9
     mode: str = "skipgram"
-    workers: int = 1
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if not 0.0 <= self.corruption_q < 1.0:
             raise ValueError("corruption_q must be in [0, 1)")
-        if min(self.dim, self.negatives, self.batch_size, self.window, self.epochs, self.workers) < 1:
-            raise ValueError("dim, negatives, batch_size, window, epochs, workers must be >= 1")
+        if min(self.dim, self.negatives, self.batch_size, self.window, self.epochs) < 1:
+            raise ValueError("dim, negatives, batch_size, window, epochs must be >= 1")
 
 
 @dataclass
@@ -151,19 +151,15 @@ def corrupted_mean(vectors: np.ndarray, q: float, rng: np.random.Generator) -> n
 
 
 def _build_vocab(collection: PassageCollection) -> tuple[dict[str, int], np.ndarray]:
-    counts: dict[str, int] = {}
-    for passage in collection:
-        for tok in passage.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted(
-        ((t, c) for t, c in counts.items() if c >= MIN_VOCAB_FREQ),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    if not kept:
+    """Terms with cf >= MIN_VOCAB_FREQ, most frequent first; term ids follow
+    term order, so a stable sort breaks ties by term."""
+    index = build_index(collection)
+    kept = np.flatnonzero(index.cf >= MIN_VOCAB_FREQ)
+    if not len(kept):
         raise ValueError(f"vocabulary empty after frequency-{MIN_VOCAB_FREQ} filter")
-    vocab = {t: i for i, (t, _) in enumerate(kept)}
-    freqs = np.array([c for _, c in kept], dtype=np.float64)
-    return vocab, freqs
+    kept = kept[np.argsort(-index.cf[kept], kind="stable")]
+    vocab = {index.terms[t]: i for i, t in enumerate(kept.tolist())}
+    return vocab, index.cf[kept].astype(np.float64)
 
 
 def _encode(collection: PassageCollection, vocab: dict[str, int]) -> list[np.ndarray]:
@@ -277,9 +273,10 @@ class _Trainer:
         self.positions_done += 1
         return lr
 
-    def _step_skipgram(self, batch: _Batch, rng: np.random.Generator) -> tuple[float, int]:
+    def _step_skipgram(self, batch: _Batch) -> tuple[float, int]:
         """Process one work unit position by position."""
         cfg = self.config
+        rng = self.rng
         d = cfg.dim
         cum = np.concatenate(([0], np.cumsum(batch.pair_counts)))
         total = 0.0
@@ -299,7 +296,7 @@ class _Trainer:
             total += float(loss.sum())
         return total, int(cum[-1])
 
-    def _step_hdc(self, batch: _Batch, rng: np.random.Generator) -> tuple[float, int]:
+    def _step_hdc(self, batch: _Batch) -> tuple[float, int]:
         """One work unit of the two-part update: the passage representation
         predicts the observed word, then the word predicts its context. Both
         parts of a position are computed at the same parameter point and
@@ -309,6 +306,7 @@ class _Trainer:
         d = cfg.dim
         k = cfg.negatives
         q = cfg.corruption_q
+        rng = self.rng
         corrupted = cfg.mode == "pv_hdc_corrupted"
         cum = np.concatenate(([0], np.cumsum(batch.pair_counts)))
         total = 0.0
@@ -352,27 +350,10 @@ class _Trainer:
         step = self._step_skipgram if cfg.mode == "skipgram" else self._step_hdc
         for _ in range(cfg.epochs):
             total, count = 0.0, 0
-            batches = _iter_batches(self.seqs, cfg.window, cfg.batch_size)
-            if cfg.workers == 1:
-                for batch in batches:
-                    loss, n = step(batch, self.rng)
-                    total += loss
-                    count += n
-            else:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    done = False
-                    while not done:
-                        group = []
-                        for _ in range(cfg.workers):
-                            batch = next(batches, None)
-                            if batch is None:
-                                done = True
-                                break
-                            group.append(batch)
-                        rngs = [np.random.default_rng(s) for s in self.rng.bit_generator.seed_seq.spawn(len(group))]
-                        for loss, n in pool.map(lambda args: step(*args), zip(group, rngs)):
-                            total += loss
-                            count += n
+            for batch in _iter_batches(self.seqs, cfg.window, cfg.batch_size):
+                loss, n = step(batch)
+                total += loss
+                count += n
             self.epoch_losses.append(total / max(count, 1))
         if not np.isfinite(self.W).all() or not np.isfinite(self.C).all():
             raise FloatingPointError("non-finite values in trained embeddings")
@@ -464,9 +445,16 @@ def _write_block(fh, payload: bytes) -> None:
     fh.write(payload)
 
 
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{fh.name}: truncated model file")
+    return data
+
+
 def _read_block(fh) -> bytes:
-    (n,) = struct.unpack("<Q", fh.read(8))
-    return fh.read(n)
+    (n,) = struct.unpack("<Q", _read_exact(fh, 8))
+    return _read_exact(fh, n)
 
 
 def save_model(model: EmbeddingModel, path) -> None:
@@ -490,7 +478,7 @@ def load_model(path) -> EmbeddingModel:
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not an embedding model file")
-        version, dim, n_vocab, n_passages = struct.unpack("<IIQQ", fh.read(4 + 4 + 8 + 8))
+        version, dim, n_vocab, n_passages = struct.unpack("<IIQQ", _read_exact(fh, 4 + 4 + 8 + 8))
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
         _read_block(fh)  # mode string; also present in metadata
@@ -505,6 +493,8 @@ def load_model(path) -> EmbeddingModel:
         if n_passages:
             passage_ids = tuple(_read_block(fh).decode("utf-8").split("\n"))
             passage_vectors = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_passages, dim).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the model data")
     return EmbeddingModel(
         vocab={t: i for i, t in enumerate(terms)},
         word_vectors=word,

@@ -260,7 +260,7 @@ def _write_json(path, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
-def onerel_experiment(cfg: dict, threads: int = 1) -> dict[str, dict[str, float]]:
+def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     """Retrieval given one fed relevant passage; returns {method: {metric: mean}}."""
     engine = load_engine(cfg)
     out_dir = Path(cfg.get("output_dir", "irflab-out"))

@@ -11,7 +11,9 @@ Estimators:
                          likelihood
 
 Query models are plain {term: probability} dicts (non-negative, summing to
-one), so they serialize directly with ``json.dumps`` for inspection.
+one), so they serialize directly with ``json.dumps`` for inspection. Pools
+are Passage lists; their term counts are read from the index's forward
+rows, so every pooled passage must be in the index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .corpus import Passage, Query
 from .embeddings import EmbeddingModel
-from .index import Index, TermVector, collection_prob, tfidf_vector
+from .index import Index, TermVector, collection_prob, query_counts, tfidf_vector
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +114,8 @@ def query_mle(query: Query) -> QueryModel:
     """Maximum-likelihood model of the query tokens."""
     if not query.tokens:
         raise ValueError(f"query {query.query_id!r} has no tokens")
-    counts: dict[str, int] = {}
-    for tok in query.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
     n = len(query.tokens)
-    return {t: c / n for t, c in counts.items()}
+    return {t: c / n for t, c in query_counts(query).items()}
 
 
 def _normalize(dist: dict[str, float]) -> QueryModel:
@@ -141,17 +140,9 @@ def _interpolate(original: QueryModel, expansion: QueryModel, alpha: float) -> Q
     return _normalize({t: w for t, w in mixed.items() if w > 0.0})
 
 
-def _ml_counts(passage: Passage) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for tok in passage.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    return counts
-
-
-def _log_query_likelihood(query: Query, passage: Passage, index: Index, mu: float) -> float:
-    """Dirichlet-smoothed log P(Q|D); collection-unseen terms are skipped."""
-    counts = _ml_counts(passage)
-    dlen = len(passage.tokens)
+def _log_query_likelihood(query: Query, counts: dict[str, int], dlen: int, index: Index, mu: float) -> float:
+    """Dirichlet-smoothed log P(Q|D) of a passage with these term counts and
+    length; collection-unseen terms are skipped."""
     logp = 0.0
     for tok in query.tokens:
         p_c = collection_prob(index, tok)
@@ -162,16 +153,18 @@ def _log_query_likelihood(query: Query, passage: Passage, index: Index, mu: floa
     return logp
 
 
-def _pool_weighted_model(rel_pool: Sequence[Passage], doc_weights: np.ndarray) -> dict[str, float]:
+def _pool_counts(pool: Sequence[Passage], index: Index) -> list[tuple[dict[str, int], int]]:
+    """Each pooled passage's term counts, read from its forward row, and length."""
+    return [(index.term_counts(p), len(p.tokens)) for p in pool]
+
+
+def _pool_weighted_model(pool: Sequence[tuple[dict[str, int], int]], doc_weights: np.ndarray) -> dict[str, float]:
     """P(w|R) = sum_D weight(D) * P_ml(w|D) with weights summing to one."""
     model: dict[str, float] = {}
-    for passage, w in zip(rel_pool, doc_weights):
-        if w == 0.0:
+    for (counts, dlen), w in zip(pool, doc_weights):
+        if w == 0.0 or dlen == 0:
             continue
-        dlen = len(passage.tokens)
-        if dlen == 0:
-            continue
-        for term, tf in _ml_counts(passage).items():
+        for term, tf in counts.items():
             model[term] = model.get(term, 0.0) + w * tf / dlen
     if not model:
         raise ValueError("relevant pool contains no tokens")
@@ -189,10 +182,11 @@ def estimate_rm3(
     interpolated with the query MLE by alpha_interp."""
     if not rel_pool:
         raise ValueError("relevant pool is empty")
-    logps = np.array([_log_query_likelihood(query, p, index, mu) for p in rel_pool])
+    pool = _pool_counts(rel_pool, index)
+    logps = np.array([_log_query_likelihood(query, counts, dlen, index, mu) for counts, dlen in pool])
     weights = np.exp(logps - logps.max())
     weights /= weights.sum()
-    relevance_model = _truncate_top_m(_pool_weighted_model(rel_pool, weights), params.m)
+    relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
     return _interpolate(query_mle(query), relevance_model, params.alpha_interp)
 
 
@@ -251,7 +245,7 @@ def estimate_distillation(
 
     counts: dict[str, int] = {}
     for passage in rel_pool:
-        for term, tf in _ml_counts(passage).items():
+        for term, tf in index.term_counts(passage).items():
             counts[term] = counts.get(term, 0) + tf
     if not counts:
         raise ValueError("relevant pool contains no tokens")
@@ -260,7 +254,7 @@ def estimate_distillation(
     if lambda_nr > 0.0:
         nr_counts: dict[str, int] = {}
         for passage in nr_pool:
-            for term, tf in _ml_counts(passage).items():
+            for term, tf in index.term_counts(passage).items():
                 nr_counts[term] = nr_counts.get(term, 0) + tf
         total = sum(nr_counts.values())
         if total > 0:
@@ -366,11 +360,10 @@ def estimate_erm(
             logger.warning("query term %r not in embedding vocabulary; skipped in translation", t)
     tables = _translation_tables(sorted(set(in_vocab)), embeddings, erm)
 
+    pool = _pool_counts(rel_pool, index)
     weights = np.zeros(len(rel_pool))
-    for i, passage in enumerate(rel_pool):
-        p_exact = float(np.exp(_log_query_likelihood(query, passage, index, mu)))
-        counts = _ml_counts(passage)
-        dlen = len(passage.tokens)
+    for i, (counts, dlen) in enumerate(pool):
+        p_exact = float(np.exp(_log_query_likelihood(query, counts, dlen, index, mu)))
         p_trans = 1.0
         for tok in in_vocab:
             table = tables[tok]
@@ -382,7 +375,7 @@ def estimate_erm(
         weights = np.full(len(rel_pool), 1.0 / len(rel_pool))
     else:
         weights = weights / total
-    relevance_model = _truncate_top_m(_pool_weighted_model(rel_pool, weights), params.m)
+    relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
     return _interpolate(query_mle(query), relevance_model, params.alpha_interp)
 
 

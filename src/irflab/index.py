@@ -1,21 +1,21 @@
-"""Immutable inverted index with collection statistics.
+"""Immutable forward and inverted index with collection statistics.
 
-Supports language-model scoring (collection probabilities, Dirichlet
-smoothing inputs) and vector-space scoring (document frequencies for IDF).
-A versioned binary snapshot format is provided for the build-index command.
+build_index is the one place that counts terms. Terms get integer ids in
+sorted-term order, so id order is term-string order. One pass over the
+distinct (passage, term id) pairs gives the forward index, a CSR matrix
+holding each passage's ascending term ids and their tfs, and its transpose,
+the postings. Collection and document frequencies (cf, df) are arrays
+indexed by term id. Language-model scoring reads them through
+``collection_prob``, vector-space scoring through ``idf``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Passage, PassageCollection
-
-SNAPSHOT_MAGIC = b"IRFIDX"
-SNAPSHOT_VERSION = 1
+from .corpus import Passage, PassageCollection, Query
 
 # Sparse term -> real weight vector in vector-space form (not normalized).
 TermVector = dict[str, float]
@@ -23,14 +23,19 @@ TermVector = dict[str, float]
 
 @dataclass
 class Index:
-    """Postings plus corpus statistics; treat as immutable once built."""
+    """Forward rows, postings and corpus statistics; treat as immutable once built."""
 
     ids: tuple[str, ...]
     id_to_pos: dict[str, int]
+    terms: tuple[str, ...]                   # term id -> term, ascending
+    term_ids: dict[str, int]
     doc_len: np.ndarray                      # int64, tokens per passage
+    row_ptr: np.ndarray                      # passage i's row is [row_ptr[i], row_ptr[i + 1])
+    row_terms: np.ndarray                    # int64 term ids, ascending within a row
+    row_tfs: np.ndarray                      # int64
     postings: dict[str, tuple[np.ndarray, np.ndarray]]  # term -> (positions, tfs)
-    collection_frequency: dict[str, int]
-    document_frequency: dict[str, int]
+    cf: np.ndarray                           # int64 collection frequency by term id
+    df: np.ndarray                           # int64 document frequency by term id
     total_tokens: int
     passage_count: int
     tie_rank: np.ndarray = field(repr=False, default=None)  # rank of each position under id-ascending order
@@ -40,153 +45,100 @@ class Index:
         return self.total_tokens / self.passage_count
 
     def __contains__(self, term: str) -> bool:
-        return term in self.postings
+        return term in self.term_ids
+
+    def row(self, passage: Passage) -> tuple[np.ndarray, np.ndarray]:
+        """The passage's forward row: its ascending term ids and their tfs."""
+        pos = self.id_to_pos.get(passage.passage_id)
+        if pos is None:
+            raise ValueError(f"passage {passage.passage_id!r} is not in the index")
+        lo, hi = self.row_ptr[pos:pos + 2].tolist()
+        return self.row_terms[lo:hi], self.row_tfs[lo:hi]
+
+    def term_counts(self, passage: Passage) -> dict[str, int]:
+        """{term: tf} of the passage, read from its forward row in term order."""
+        term_ids, tfs = self.row(passage)
+        terms = self.terms
+        return {terms[t]: tf for t, tf in zip(term_ids.tolist(), tfs.tolist())}
 
 
 def build_index(collection: PassageCollection) -> Index:
     if len(collection) == 0:
         raise ValueError("cannot index an empty collection")
     ids = collection.ids
-    id_to_pos = {pid: i for i, pid in enumerate(ids)}
-    doc_len = np.zeros(len(ids), dtype=np.int64)
-    acc: dict[str, dict[int, int]] = {}
-    for i, passage in enumerate(collection):
-        doc_len[i] = len(passage.tokens)
-        for tok in passage.tokens:
-            acc.setdefault(tok, {})
-            acc[tok][i] = acc[tok].get(i, 0) + 1
-    postings = {}
-    cf = {}
-    df = {}
-    for term, by_doc in acc.items():
-        positions = np.fromiter(by_doc.keys(), dtype=np.int64, count=len(by_doc))
-        tfs = np.fromiter(by_doc.values(), dtype=np.int64, count=len(by_doc))
-        order = np.argsort(positions)
-        postings[term] = (positions[order], tfs[order])
-        cf[term] = int(tfs.sum())
-        df[term] = len(by_doc)
-    tie_rank = np.empty(len(ids), dtype=np.int64)
-    tie_rank[np.argsort(np.array(ids))] = np.arange(len(ids))
+    n = len(ids)
+    doc_len = np.fromiter((len(p.tokens) for p in collection), dtype=np.int64, count=n)
+    terms = tuple(sorted({tok for p in collection for tok in p.tokens}))
+    term_ids = {t: i for i, t in enumerate(terms)}
+    v = len(terms)
+    token_ids = np.fromiter((term_ids[tok] for p in collection for tok in p.tokens),
+                            dtype=np.int64, count=int(doc_len.sum()))
+    # one sort of passage-major keys yields every row, ascending term ids within it
+    keys, row_tfs = np.unique(np.repeat(np.arange(n), doc_len) * v + token_ids, return_counts=True)
+    row_pos, row_terms = np.divmod(keys, v)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_pos, minlength=n), out=row_ptr[1:])
+    # the transpose: a stable sort by term keeps each term's positions ascending
+    order = np.argsort(row_terms, kind="stable")
+    post_pos, post_tfs = row_pos[order], row_tfs[order]
+    df = np.bincount(row_terms, minlength=v)
+    bounds = np.concatenate(([0], np.cumsum(df))).tolist()
+    postings = {
+        term: (post_pos[bounds[i]:bounds[i + 1]], post_tfs[bounds[i]:bounds[i + 1]])
+        for i, term in enumerate(terms)
+    }
+    tie_rank = np.empty(n, dtype=np.int64)
+    tie_rank[np.argsort(np.array(ids))] = np.arange(n)
     return Index(
         ids=ids,
-        id_to_pos=id_to_pos,
+        id_to_pos={pid: i for i, pid in enumerate(ids)},
+        terms=terms,
+        term_ids=term_ids,
         doc_len=doc_len,
+        row_ptr=row_ptr,
+        row_terms=row_terms,
+        row_tfs=row_tfs,
         postings=postings,
-        collection_frequency=cf,
-        document_frequency=df,
+        cf=np.bincount(token_ids, minlength=v),
+        df=df,
         total_tokens=int(doc_len.sum()),
-        passage_count=len(ids),
+        passage_count=n,
         tie_rank=tie_rank,
     )
+
+
+def query_counts(query: Query) -> dict[str, int]:
+    """Term counts of the query tokens, in first-occurrence order."""
+    counts: dict[str, int] = {}
+    for tok in query.tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    return counts
 
 
 def collection_prob(index: Index, term: str) -> float:
     """Corpus unigram probability cf(term)/total_tokens; 0 for unseen terms."""
-    return index.collection_frequency.get(term, 0) / index.total_tokens
+    tid = index.term_ids.get(term)
+    return 0.0 if tid is None else index.cf.item(tid) / index.total_tokens
 
 
 def idf(index: Index, term: str) -> float:
     """ln(N / df); 0 for unseen terms (df = 0 terms carry no weight)."""
-    d = index.document_frequency.get(term, 0)
-    if d == 0:
+    tid = index.term_ids.get(term)
+    if tid is None:
         return 0.0
-    return float(np.log(index.passage_count / d))
+    return float(np.log(index.passage_count / index.df.item(tid)))
 
 
 def tfidf_vector(passage: Passage, index: Index) -> TermVector:
-    """tf * ln(N/df) weights; terms with df = 0 are omitted."""
-    vec: TermVector = {}
-    counts: dict[str, int] = {}
-    for tok in passage.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    for term, tf in counts.items():
-        d = index.document_frequency.get(term, 0)
-        if d == 0:
-            continue
-        w = tf * float(np.log(index.passage_count / d))
-        if w != 0.0:
-            vec[term] = w
-    return vec
+    """tf * ln(N/df) weights of the passage's row, in term order; zero
+    weights are omitted."""
+    term_ids, tfs = index.row(passage)
+    weights = tfs * np.log(index.passage_count / index.df[term_ids])
+    return {index.terms[t]: w for t, w in zip(term_ids.tolist(), weights.tolist()) if w != 0.0}
 
 
-def audit_index(index: Index, collection: PassageCollection) -> None:
-    """Full-scan consistency check of the postings invariants; raises on
-    any violation. Intended for tests and debugging, not hot paths."""
-    if index.passage_count != len(collection):
-        raise AssertionError("passage_count mismatch")
-    if index.total_tokens != int(index.doc_len.sum()):
-        raise AssertionError("total_tokens != sum(doc_len)")
-    for term, (positions, tfs) in index.postings.items():
-        if int(tfs.sum()) != index.collection_frequency[term]:
-            raise AssertionError(f"cf mismatch for {term!r}")
-        if len(positions) != index.document_frequency[term]:
-            raise AssertionError(f"df mismatch for {term!r}")
-    recount: dict[str, int] = {}
-    for i, passage in enumerate(collection):
-        if index.doc_len[i] != len(passage.tokens):
-            raise AssertionError(f"doc_len mismatch for {passage.passage_id!r}")
-        for tok in passage.tokens:
-            recount[tok] = recount.get(tok, 0) + 1
-    if recount != index.collection_frequency:
-        raise AssertionError("collection_frequency mismatch against full scan")
-
-
-def _write_block(fh, payload: bytes) -> None:
-    fh.write(struct.pack("<Q", len(payload)))
-    fh.write(payload)
-
-
-def _read_block(fh) -> bytes:
-    (n,) = struct.unpack("<Q", fh.read(8))
-    return fh.read(n)
-
-
-def save_index(index: Index, path) -> None:
-    """Little-endian length-prefixed binary snapshot; byte-deterministic."""
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IQQ", SNAPSHOT_VERSION, index.passage_count, index.total_tokens))
-        _write_block(fh, "\n".join(index.ids).encode("utf-8"))
-        _write_block(fh, index.doc_len.astype("<i8").tobytes())
-        terms = sorted(index.postings)
-        _write_block(fh, "\n".join(terms).encode("utf-8"))
-        for term in terms:
-            positions, tfs = index.postings[term]
-            _write_block(fh, positions.astype("<i8").tobytes())
-            _write_block(fh, tfs.astype("<i8").tobytes())
-
-
-def load_index(path) -> Index:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not an index snapshot")
-        version, passage_count, total_tokens = struct.unpack("<IQQ", fh.read(4 + 8 + 8))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version {version}")
-        ids = tuple(_read_block(fh).decode("utf-8").split("\n"))
-        doc_len = np.frombuffer(_read_block(fh), dtype="<i8").astype(np.int64)
-        term_blob = _read_block(fh).decode("utf-8")
-        terms = term_blob.split("\n") if term_blob else []
-        postings = {}
-        cf = {}
-        df = {}
-        for term in terms:
-            positions = np.frombuffer(_read_block(fh), dtype="<i8").astype(np.int64)
-            tfs = np.frombuffer(_read_block(fh), dtype="<i8").astype(np.int64)
-            postings[term] = (positions, tfs)
-            cf[term] = int(tfs.sum())
-            df[term] = len(positions)
-    tie_rank = np.empty(len(ids), dtype=np.int64)
-    tie_rank[np.argsort(np.array(ids))] = np.arange(len(ids))
-    return Index(
-        ids=ids,
-        id_to_pos={pid: i for i, pid in enumerate(ids)},
-        doc_len=doc_len,
-        postings=postings,
-        collection_frequency=cf,
-        document_frequency=df,
-        total_tokens=int(total_tokens),
-        passage_count=int(passage_count),
-        tie_rank=tie_rank,
-    )
+def query_tfidf(query: Query, index: Index) -> TermVector:
+    """tf * ln(N/df) weights of the query terms, in first-occurrence order;
+    unindexed terms and zero weights are omitted."""
+    weights = {t: tf * idf(index, t) for t, tf in query_counts(query).items()}
+    return {t: w for t, w in weights.items() if w != 0.0}

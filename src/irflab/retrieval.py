@@ -20,7 +20,7 @@ from typing import AbstractSet, Iterable, Mapping
 import numpy as np
 
 from .corpus import Query
-from .index import Index, TermVector, collection_prob
+from .index import Index, TermVector, collection_prob, idf, query_counts
 
 logger = logging.getLogger(__name__)
 
@@ -135,13 +135,10 @@ def rank_bm25(
     n = index.passage_count
     norm = k1 * (1.0 - b + b * index.doc_len / index.avg_doc_len)
     scores = np.zeros(n, dtype=np.float64)
-    qtf: dict[str, int] = {}
-    for tok in query.tokens:
-        qtf[tok] = qtf.get(tok, 0) + 1
-    for term, mult in qtf.items():
-        df = index.document_frequency.get(term, 0)
-        if df == 0:
+    for term, mult in query_counts(query).items():
+        if term not in index:
             continue
+        df = index.df.item(index.term_ids[term])
         w = max(0.0, float(np.log((n - df + 0.5) / (df + 0.5))))
         if w == 0.0:
             continue
@@ -164,10 +161,7 @@ def rank_rocchio(
     for term, qw in query_vec.items():
         if qw == 0.0:
             continue
-        df = index.document_frequency.get(term, 0)
-        if df == 0:
-            continue
-        w = float(np.log(index.passage_count / df))
+        w = idf(index, term)
         if w == 0.0:
             continue
         positions, tfs = index.postings[term]

@@ -32,7 +32,7 @@ from .feedback import (
     update_pools,
 )
 from .fusion import FusionConfig, fused_rank
-from .index import Index, TermVector
+from .index import Index, query_tfidf
 from .retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio
 
 logger = logging.getLogger(__name__)
@@ -53,21 +53,12 @@ class SessionConfig:
     rf_method: str = "rm3"
     fusion: FusionConfig | None = None
     depth: int | None = None   # None: 100 + number of shown results
-    budget: int | None = None  # None: per_iter * iterations
 
     def __post_init__(self):
         if self.per_iter < 1 or self.iterations < 1:
             raise ValueError("per_iter and iterations must be >= 1")
         if self.rf_method not in RF_METHODS:
             raise ValueError(f"unknown rf_method {self.rf_method!r}")
-        if self.budget is not None and self.budget != self.per_iter * self.iterations:
-            logger.warning(
-                "budget %d != per_iter*iterations (%d)", self.budget, self.per_iter * self.iterations
-            )
-
-    @property
-    def judged_total(self) -> int:
-        return self.budget if self.budget is not None else self.per_iter * self.iterations
 
 
 @dataclass(frozen=True)
@@ -92,13 +83,6 @@ class FrozenRanking:
     early_exhausted: bool = False
 
     @property
-    def frozen_prefix(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for block in self.shown_blocks[:-1]:
-            out.extend(block)
-        return tuple(out)
-
-    @property
     def shown(self) -> frozenset[str]:
         return frozenset(pid for block in self.shown_blocks for pid in block)
 
@@ -119,21 +103,6 @@ class SessionResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _query_tfidf(query: Query, index: Index) -> TermVector:
-    counts: dict[str, int] = {}
-    for tok in query.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    vec: TermVector = {}
-    for term, tf in counts.items():
-        df = index.document_frequency.get(term, 0)
-        if df == 0:
-            continue
-        w = tf * float(np.log(index.passage_count / df))
-        if w != 0.0:
-            vec[term] = w
-    return vec
-
-
 class _SessionModel:
     """Current query model plus the scorer matching the method family."""
 
@@ -146,7 +115,7 @@ class _SessionModel:
             self.model = query_mle(query)
         else:
             self.kind = "vsm"
-            self.vec = _query_tfidf(query, index=ctx.index)
+            self.vec = query_tfidf(query, ctx.index)
             if not self.vec:
                 raise ValueError(f"query {query.query_id!r} has no indexable tokens")
         self.first_ranking_done = False
@@ -167,7 +136,7 @@ class _SessionModel:
         nonrel = [ctx.collection[pid] for pid in state.nonrelevant_pool]
         self.first_ranking_done = True
         if self.method == "rocchio":
-            self.vec = rocchio_update(_query_tfidf(self.query, ctx.index), rel, nonrel, ctx.index, ctx.feedback)
+            self.vec = rocchio_update(query_tfidf(self.query, ctx.index), rel, nonrel, ctx.index, ctx.feedback)
             return
         if not rel:
             # No positive evidence yet: keep the maximum-likelihood query model.

@@ -62,22 +62,6 @@ class TestGenSynth:
         assert (a / "corpus.jsonl").read_bytes() == (b / "corpus.jsonl").read_bytes()
 
 
-class TestBuildIndex:
-    def test_snapshot_written_and_reproducible(self, synth_dir, tmp_path):
-        out_a = tmp_path / "a.idx"
-        out_b = tmp_path / "b.idx"
-        for out in (out_a, out_b):
-            code = run_cli("build-index", "--corpus", str(synth_dir / "corpus.jsonl"),
-                           "--out", str(out), "--stemming", "none", "--stopwords", "none")
-            assert code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_missing_corpus_exits_2(self, tmp_path):
-        code = run_cli("build-index", "--corpus", str(tmp_path / "nope.jsonl"),
-                       "--out", str(tmp_path / "x.idx"))
-        assert code == 2
-
-
 class TestTrainEmbeddings:
     def test_deterministic_rerun_identical_bytes(self, synth_dir, tmp_path):
         out_a, out_b = tmp_path / "a.emb", tmp_path / "b.emb"
@@ -87,6 +71,11 @@ class TestTrainEmbeddings:
                            "--epochs", "1", "--seed", "2", "--deterministic")
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_missing_corpus_exits_2(self, tmp_path):
+        code = run_cli("train-embeddings", "--corpus", str(tmp_path / "nope.jsonl"),
+                       "--mode", "pvc", "--out", str(tmp_path / "x.emb"))
+        assert code == 2
 
     def test_default_flags_match_training_protocol(self):
         from irflab.cli import build_parser
@@ -113,9 +102,12 @@ class TestRunIrf:
         assert len(run) == 8
 
     def test_unknown_config_key_exits_2(self, synth_dir, tmp_path):
-        cfg = experiment_config(synth_dir, tmp_path / "out")
-        cfg["sessions"] = {}
-        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
+        typo = experiment_config(synth_dir, tmp_path / "out")
+        typo["sessions"] = {}
+        unread = experiment_config(synth_dir, tmp_path / "out")
+        unread["evaluation"]["permutations"] = 1000  # no code reads it
+        for cfg in (typo, unread):
+            assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
 
     def test_wrong_schema_version_exits_2(self, synth_dir, tmp_path):
         cfg = experiment_config(synth_dir, tmp_path / "out", schema_version=99)

@@ -107,15 +107,6 @@ class TestSkipgram:
         assert np.array_equal(a.word_vectors, b.word_vectors)
         assert np.array_equal(a.context_vectors, b.context_vectors)
 
-    def test_parallel_mode_stays_finite_and_learns(self):
-        coll = repeated_bigram_collection(60)
-        cfg = TrainConfig(dim=6, epochs=3, seed=9, window=2, mode="skipgram",
-                          workers=4, batch_size=16, learning_rate=0.025)
-        model = train_skipgram(coll, cfg)
-        assert np.isfinite(model.word_vectors).all()
-        losses = model.metadata["epoch_losses"]
-        assert losses[-1] < losses[0]
-
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train_skipgram(repeated_bigram_collection(10), TrainConfig(mode="pv_hdc"))
@@ -203,14 +194,6 @@ class TestPvHdc:
     def test_wrong_mode_rejected(self):
         with pytest.raises(ValueError):
             train_pv_hdc(repeated_bigram_collection(10), TrainConfig(mode="skipgram"))
-
-    def test_parallel_corrupted_training_stays_finite(self):
-        coll = repeated_bigram_collection(50)
-        cfg = TrainConfig(dim=6, epochs=2, seed=3, window=2, mode="pv_hdc_corrupted",
-                          workers=3, batch_size=8, learning_rate=0.025)
-        model = train_pv_hdc(coll, cfg)
-        assert np.isfinite(model.word_vectors).all()
-        assert np.isfinite(model.passage_vectors).all()
 
 
 class TestPassageVector:
@@ -309,6 +292,26 @@ class TestModelIO:
         path.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(ValueError, match="not an embedding model"):
             load_model(path)
+
+    def test_truncated_or_padded_file_rejected(self, tmp_path):
+        rng = np.random.default_rng(3)
+        model = EmbeddingModel(
+            vocab={f"w{i}": i for i in range(20)}, word_vectors=rng.normal(size=(20, 4)),
+            context_vectors=rng.normal(size=(20, 4)), dim=4,
+            passage_vectors=rng.normal(size=(5, 4)), passage_ids=tuple(f"p{i}" for i in range(5)),
+            metadata={"mode": "pv_hdc_corrupted"},
+        )
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load_model(cut)
+        cut.write_bytes(data + bytes(16))
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(cut)
 
     def test_default_config_matches_training_protocol(self):
         cfg = TrainConfig()

@@ -19,7 +19,7 @@ from irflab.feedback import (
     rocchio_update,
     update_pools,
 )
-from irflab.index import build_index
+from irflab.index import build_index, collection_prob
 
 from conftest import make_collection, make_query, random_token_lists
 
@@ -96,10 +96,9 @@ class TestUpdatePools:
 
 class TestRM3:
     def test_alpha_one_returns_query_mle(self, tiny_index):
-        _, idx = tiny_index
+        coll, idx = tiny_index
         q = make_query(["a", "b", "a"])
-        model = estimate_rm3(q, [passage("r1", ["a", "a", "b"])], idx,
-                             FeedbackParams(alpha_interp=1.0))
+        model = estimate_rm3(q, [coll["p000"]], idx, FeedbackParams(alpha_interp=1.0))
         assert model == pytest.approx(query_mle(q))
 
     def test_single_passage_pool_gives_its_mle(self):
@@ -154,9 +153,10 @@ class TestRM3:
 
 
 class TestDistillation:
-    def test_degenerate_mixture_is_pool_mle(self, tiny_index):
-        _, idx = tiny_index
-        pool = [passage("r1", ["a", "a", "b"])]
+    def test_degenerate_mixture_is_pool_mle(self):
+        coll = make_collection([["a", "a", "b"], ["c"]])
+        idx = build_index(coll)
+        pool = [coll["p000"]]
         model = estimate_distillation(
             make_query(["a"]), pool, [], idx,
             FeedbackParams(alpha_interp=0.0, lambda_mix=0.0, lambda_nr=0.0, m=10),
@@ -167,9 +167,9 @@ class TestDistillation:
     def test_worked_two_iteration_example(self):
         # pool "a a b" with p(a|C) = p(b|C) = 0.5, lambda_mix = 0.5:
         # two EM updates from uniform init give theta = (20/27, 7/27).
-        coll = make_collection([["a", "b"], ["b", "a"]])
+        coll = make_collection([["a", "a", "b"], ["b", "b", "a"]])
         idx = build_index(coll)
-        pool = [passage("r1", ["a", "a", "b"])]
+        pool = [coll["p000"]]
         params = FeedbackParams(alpha_interp=0.0, lambda_mix=0.5, lambda_nr=0.0,
                                 em_max_iters=2, em_tol=0.0, m=10)
         model = estimate_distillation(make_query(["a"]), pool, [], idx, params)
@@ -179,8 +179,8 @@ class TestDistillation:
         assert oracle["a"] == pytest.approx(20 / 27, abs=1e-12)
 
     def test_empty_nr_pool_drops_component(self, tiny_index, caplog):
-        _, idx = tiny_index
-        pool = [passage("r1", ["a", "b"])]
+        coll, idx = tiny_index
+        pool = [coll["p000"]]
         params = FeedbackParams(alpha_interp=0.0, lambda_mix=0.3, lambda_nr=0.4, m=10)
         with caplog.at_level("WARNING"):
             model = estimate_distillation(make_query(["a"]), pool, [], idx, params)
@@ -188,10 +188,10 @@ class TestDistillation:
         check_query_model(model)
 
     def test_nr_component_suppresses_nr_terms(self):
-        coll = make_collection([["a", "b"], ["b", "c"]])
+        coll = make_collection([["a", "b"], ["b", "c"], ["a", "a", "b", "b"], ["b", "b", "b"]])
         idx = build_index(coll)
-        pool = [passage("r1", ["a", "a", "b", "b"])]
-        nr = [passage("n1", ["b", "b", "b"])]
+        pool = [coll["p002"]]
+        nr = [coll["p003"]]
         base = estimate_distillation(
             make_query(["a"]), pool, [], idx,
             FeedbackParams(alpha_interp=0.0, lambda_mix=0.2, lambda_nr=0.0, m=10))
@@ -215,7 +215,7 @@ class TestDistillation:
                      for _ in range(4)]
             coll = make_collection(lists)
             idx = build_index(coll)
-            pool = [passage(f"r{i}", lists[i]) for i in range(int(rng.integers(1, 4)))]
+            pool = list(coll.passages[:int(rng.integers(1, 4))])
             lam = float(rng.uniform(0.0, 0.8))
             iters = int(rng.integers(1, 6))
             params = FeedbackParams(alpha_interp=0.0, lambda_mix=lam, lambda_nr=0.0,
@@ -225,7 +225,7 @@ class TestDistillation:
             for p in pool:
                 for t in p.tokens:
                     counts[t] = counts.get(t, 0) + 1
-            p_corpus = {t: idx.collection_frequency.get(t, 0) / idx.total_tokens for t in counts}
+            p_corpus = {t: collection_prob(idx, t) for t in counts}
             oracle = brute_force_em(counts, p_corpus, {}, lam, 0.0, iters)
             for t, w in oracle.items():
                 assert model[t] == pytest.approx(w, abs=1e-9)

@@ -1,46 +1,72 @@
-"""Inverted-index statistics, tf-idf vectors, and the snapshot format."""
+"""Forward rows, postings, collection statistics and tf-idf vectors."""
 
 import math
+from collections import Counter
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irflab.corpus import PassageCollection
-from irflab.index import (
-    audit_index,
-    build_index,
-    collection_prob,
-    load_index,
-    save_index,
-    tfidf_vector,
-)
+from irflab.index import build_index, collection_prob, tfidf_vector
 
 from conftest import make_collection, random_token_lists
+
+# Few distinct short tokens, so terms repeat within and across passages;
+# empty token lists stand for passages with nothing left after tokenizing.
+token_lists = st.lists(
+    st.lists(st.text(alphabet="abc", min_size=1, max_size=2), max_size=8),
+    min_size=1, max_size=12,
+)
 
 
 class TestBuildIndex:
     def test_hand_counted_statistics(self):
         coll = make_collection([["a", "b"], ["a"]])
         idx = build_index(coll)
-        assert idx.document_frequency["a"] == 2
-        assert idx.collection_frequency["a"] == 2
-        assert idx.document_frequency["b"] == 1
+        a, b = idx.term_ids["a"], idx.term_ids["b"]
+        assert idx.df[a] == 2
+        assert idx.cf[a] == 2
+        assert idx.df[b] == 1
         assert idx.total_tokens == 3
         assert idx.passage_count == 2
 
     def test_repeated_term_in_one_passage(self):
         idx = build_index(make_collection([["a", "a"]]))
-        assert idx.collection_frequency["a"] == 2
-        assert idx.document_frequency["a"] == 1
+        assert idx.cf[idx.term_ids["a"]] == 2
+        assert idx.df[idx.term_ids["a"]] == 1
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             build_index(PassageCollection([]))
 
-    def test_audit_on_random_corpora(self, rng):
-        for _ in range(20):
-            coll = make_collection(random_token_lists(rng, 30, 15))
-            audit_index(build_index(coll), coll)
+    @settings(max_examples=200, deadline=None)
+    @given(token_lists)
+    def test_audit_on_random_corpora(self, lists):
+        coll = make_collection(lists)
+        idx = build_index(coll)
+        recount = Counter(tok for tokens in lists for tok in tokens)
+        assert idx.terms == tuple(sorted(recount))
+        assert all(idx.term_ids[t] == i for i, t in enumerate(idx.terms))
+
+        transpose = {t: ([], []) for t in idx.terms}
+        for i, (passage, tokens) in enumerate(zip(coll, lists)):
+            row_terms, row_tfs = idx.row(passage)
+            assert list(row_terms) == sorted(row_terms)
+            assert idx.term_counts(passage) == Counter(tokens)
+            for t, tf in zip(row_terms, row_tfs):
+                transpose[idx.terms[t]][0].append(i)
+                transpose[idx.terms[t]][1].append(tf)
+        assert set(idx.postings) == set(idx.terms)
+        for term, (positions, tfs) in idx.postings.items():
+            assert positions.tolist() == transpose[term][0]  # ascending: rows were visited in order
+            assert tfs.tolist() == transpose[term][1]
+
+        assert idx.cf.tolist() == [recount[t] for t in idx.terms]
+        assert idx.df.tolist() == [sum(t in tokens for tokens in lists) for t in idx.terms]
+        assert idx.doc_len.tolist() == [len(tokens) for tokens in lists]
+        assert idx.total_tokens == sum(recount.values())
+        assert idx.passage_count == len(lists)
 
     def test_queries_are_pure(self, tiny_index):
         _, idx = tiny_index
@@ -81,34 +107,3 @@ class TestTfidfVector:
         coll = make_collection([["a"], []])
         idx = build_index(coll)
         assert tfidf_vector(coll["p001"], idx) == {}
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path, rng):
-        coll = make_collection(random_token_lists(rng, 25, 10))
-        idx = build_index(coll)
-        path = tmp_path / "index.bin"
-        save_index(idx, path)
-        loaded = load_index(path)
-        assert loaded.ids == idx.ids
-        assert loaded.total_tokens == idx.total_tokens
-        assert loaded.collection_frequency == idx.collection_frequency
-        assert loaded.document_frequency == idx.document_frequency
-        for term, (pos, tf) in idx.postings.items():
-            lpos, ltf = loaded.postings[term]
-            assert np.array_equal(pos, lpos)
-            assert np.array_equal(tf, ltf)
-
-    def test_snapshot_bytes_deterministic(self, tmp_path, rng):
-        coll = make_collection(random_token_lists(rng, 25, 10))
-        idx = build_index(coll)
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_index(idx, a)
-        save_index(build_index(coll), b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTANIDX" * 4)
-        with pytest.raises(ValueError, match="not an index"):
-            load_index(path)

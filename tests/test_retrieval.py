@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from irflab.index import build_index, tfidf_vector
+from irflab.index import build_index, collection_prob, tfidf_vector
 from irflab.retrieval import (
     RankedList,
     RetrievalParams,
@@ -27,10 +28,9 @@ def brute_ql_score(query_model, tokens, index, mu):
         counts[t] = counts.get(t, 0) + 1
     score = 0.0
     for term, w in query_model.items():
-        cf = index.collection_frequency.get(term, 0)
-        if cf == 0:
+        if term not in index:
             continue
-        p_c = cf / index.total_tokens
+        p_c = int(index.cf[index.term_ids[term]]) / index.total_tokens
         score += w * math.log((counts.get(term, 0) + mu * p_c) / (len(tokens) + mu))
     return score
 
@@ -42,9 +42,9 @@ def brute_bm25_score(qtokens, tokens, index, k1, b):
     n = index.passage_count
     score = 0.0
     for term in qtokens:
-        df = index.document_frequency.get(term, 0)
-        if df == 0:
+        if term not in index:
             continue
+        df = int(index.df[index.term_ids[term]])
         idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
         tf = counts.get(term, 0)
         if tf == 0:
@@ -102,10 +102,10 @@ class TestRankQL:
             lists = random_token_lists(rng, 12, 6)
             coll = make_collection(lists)
             idx = build_index(coll)
-            term = max(idx.collection_frequency, key=lambda t: idx.collection_frequency[t])
+            term = idx.terms[int(np.argmax(idx.cf))]
             mu = 7.0
             ranked = rank_ql({term: 1.0}, idx, RetrievalParams(mu=mu), depth=len(coll))
-            p_c = idx.collection_frequency[term] / idx.total_tokens
+            p_c = collection_prob(idx, term)
             probs = []
             for pid, _ in ranked.entries:
                 toks = coll[pid].tokens

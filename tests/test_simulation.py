@@ -48,7 +48,7 @@ class TestSessionBasics:
         cfg = SessionConfig(per_iter=10, iterations=1, rf_method="rm3")
         result = run_irf_session(query, qrels, cfg, ctx)
         frozen = result.frozen
-        assert frozen.frozen_prefix == ()
+        assert frozen.shown_blocks[:-1] == ()
         assert len(frozen.shown_blocks) == 1 and len(frozen.shown_blocks[0]) == 10
         # the shown block is exactly the initial retrieval's top 10
         initial = rank_ql(query_mle(query), ctx.index, ctx.retrieval, 10)
@@ -70,7 +70,7 @@ class TestSessionBasics:
         ctx, query, qrels = planted_context(rng)
         cfg = SessionConfig(per_iter=2, iterations=5, rf_method="rm3")
         result = run_irf_session(query, qrels, cfg, ctx)
-        assert len(result.frozen.frozen_prefix) == (5 - 1) * 2
+        assert sum(len(block) for block in result.frozen.shown_blocks[:-1]) == (5 - 1) * 2
         assert len(result.frozen.shown) == 10
 
     def test_relevant_top_passage_never_reappears(self, rng):
@@ -155,7 +155,6 @@ class TestSessionInvariants:
                 for pid in block:
                     assert pid not in seen
                     seen.append(pid)
-            assert tuple(seen[: len(frozen.frozen_prefix)]) == frozen.frozen_prefix
             assert not set(frozen.tail.ids()) & set(seen)
 
 
