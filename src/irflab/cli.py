@@ -3,8 +3,9 @@
 Commands: gen-synth, train-embeddings, run-irf, run-onerel, eval,
 significance. Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error. Every command that takes a seed is reproducible
-byte-for-byte. Every command accepts --threads and --deterministic; only
-run-irf reads them, to size its per-query session pool.
+byte-for-byte. Only run-irf reads --threads and --deterministic, to size
+its per-query session pool; the other commands accept --deterministic and
+--threads 1 and exit 2 on --threads above 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="run-irf: number of query sessions run in parallel")
+                        help="run-irf only: number of query sessions run in parallel; "
+                             "other commands run single-threaded and reject values above 1")
     parser.add_argument("--deterministic", action="store_true",
                         help="run-irf: force one session at a time")
 
@@ -193,6 +195,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads > 1 and args.command != "run-irf":
+        print(f"error: only run-irf reads --threads; {args.command} runs single-threaded", file=sys.stderr)
+        return 2
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -87,6 +87,18 @@ class EmbeddingModel:
             {pid: i for i, pid in enumerate(self.passage_ids)} if self.passage_ids else {}
         )
         self._unit_words: np.ndarray | None = None
+        self._memo: dict = {}
+
+    def cached(self, key, build):
+        """build()'s value, computed once per key and kept on the model.
+
+        A value is stored only when fully built, so concurrent callers can
+        at worst both build it; callers must not modify it."""
+        value = self._memo.get(key)
+        if value is None:
+            value = build()
+            self._memo[key] = value
+        return value
 
     def unit_word_vectors(self) -> np.ndarray:
         """Row-normalized word vectors (zero rows stay zero); cached."""
@@ -103,6 +115,13 @@ class EmbeddingModel:
         if row is None:
             raise ValueError(f"passage {passage_id!r} was not in the training corpus")
         return self.passage_vectors[row]
+
+    def passage_rows(self, passage_ids: Sequence[str]) -> np.ndarray:
+        """Row of each passage in passage_vectors; -1 for a passage that was
+        not in the training corpus."""
+        if self.passage_vectors is None:
+            raise ValueError("model has no trained passage vectors")
+        return np.array([self._pid_to_row.get(pid, -1) for pid in passage_ids], dtype=np.int64)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

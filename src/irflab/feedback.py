@@ -201,8 +201,8 @@ def _mixture_em(
 ) -> dict[str, float]:
     """EM for the topic component of
     P(w) = (1-lm-ln)*theta_F(w) + lm*p(w|C) + ln*theta_N(w),
-    maximizing the likelihood of the pooled counts. The log-likelihood is
-    asserted non-decreasing each step (tolerance -1e-9)."""
+    maximizing the likelihood of the pooled counts. A step that lowers the
+    log-likelihood by more than 1e-9, or makes it NaN, raises RuntimeError."""
     terms = sorted(counts)
     c = np.array([counts[t] for t in terms], dtype=np.float64)
     pc = np.array([p_corpus.get(t, 0.0) for t in terms])
@@ -214,7 +214,8 @@ def _mixture_em(
         mix = f * theta + lambda_mix * pc + lambda_nr * pn
         ll = float(np.sum(c * np.log(mix)))
         if prev_ll is not None:
-            assert ll - prev_ll >= -1e-9, f"EM log-likelihood decreased: {prev_ll} -> {ll}"
+            if not ll - prev_ll >= -1e-9:
+                raise RuntimeError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
             if ll - prev_ll < tol:
                 break
         prev_ll = ll
@@ -308,22 +309,26 @@ def _translation_tables(
     model: EmbeddingModel,
     erm: ErmParams,
 ) -> dict[str, dict[str, float]]:
-    """Per query term: sigmoid-transformed cosine weights over its k nearest
-    vocabulary neighbors, normalized over the neighbor set."""
+    """Per query term in the embedding vocabulary: sigmoid-transformed
+    cosine weights over its k nearest vocabulary neighbors, normalized over
+    the neighbor set. Each table is built once per (term, erm) and cached on
+    the model."""
+    return {
+        term: model.cached(("erm", term, erm), lambda: _translation_table(term, model, erm))
+        for term in terms
+        if term in model.vocab
+    }
+
+
+def _translation_table(term: str, model: EmbeddingModel, erm: ErmParams) -> dict[str, float]:
     unit = model.unit_word_vectors()
     vocab_terms = model.terms
-    tables: dict[str, dict[str, float]] = {}
-    for term in terms:
-        qi = model.vocab.get(term)
-        if qi is None:
-            continue
-        sims = unit @ unit[qi]
-        k = min(erm.neighbors, len(vocab_terms))
-        nearest = np.argpartition(-sims, k - 1)[:k] if k < len(vocab_terms) else np.arange(len(vocab_terms))
-        order = sorted(nearest.tolist(), key=lambda j: (-sims[j], vocab_terms[j]))[:k]
-        raw = {vocab_terms[j]: _sigmoid(erm.sigmoid_a * (float(sims[j]) - erm.sigmoid_c)) for j in order}
-        tables[term] = _normalize(raw)
-    return tables
+    sims = unit @ unit[model.vocab[term]]
+    k = min(erm.neighbors, len(vocab_terms))
+    nearest = np.argpartition(-sims, k - 1)[:k] if k < len(vocab_terms) else np.arange(len(vocab_terms))
+    order = sorted(nearest.tolist(), key=lambda j: (-sims[j], vocab_terms[j]))[:k]
+    raw = {vocab_terms[j]: _sigmoid(erm.sigmoid_a * (float(sims[j]) - erm.sigmoid_c)) for j in order}
+    return _normalize(raw)
 
 
 def _sigmoid(x: float) -> float:

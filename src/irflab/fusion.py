@@ -7,6 +7,12 @@ embedding space, and that similarity is added to the base feedback score:
 
 Scores are combined raw (no normalization); the lambda grids absorb the
 scale differences between feedback methods.
+
+fused_rank reads the pool and candidate vectors with one fancy index from
+vectors built once per (model, mode, index) and cached on the model: pv/pvc
+gather the trained passage vectors in place, avg_w2v/idf_w2v a matrix of
+every indexed passage's representation. pool_centroid and semantic_score
+compute each vector on the fly; they are the per-passage reference.
 """
 
 from __future__ import annotations
@@ -77,6 +83,29 @@ def semantic_score(
     return cosine(centroid, vec)
 
 
+def _representation_matrix(model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
+    """Every indexed passage's vector, row by index position (read-only)."""
+    matrix = np.zeros((index.passage_count, model.dim))
+    for i, pid in enumerate(index.ids):
+        matrix[i] = _vector_or_zero(collection[pid], model, mode, index)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _gather(pids: Sequence[str], model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
+    """The passages' vectors, one row each; unrepresentable ones are zero.
+    A passage missing from a pv/pvc model raises ValueError."""
+    positions = [index.id_to_pos[pid] for pid in pids]
+    if mode in ("pv", "pvc"):
+        rows = model.cached(("pv", index), lambda: model.passage_rows(index.ids))[positions]
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            raise ValueError(f"passage {pids[missing[0]]!r} was not in the training corpus")
+        return model.passage_vectors[rows]
+    matrix = model.cached((mode, index), lambda: _representation_matrix(model, mode, collection, index))
+    return matrix[positions]
+
+
 def fused_rank(
     base: RankedList,
     state: FeedbackState,
@@ -93,20 +122,23 @@ def fused_rank(
     """
     if not state.relevant_pool:
         return base
-    mode = cfg.representation_mode
-    rel_passages = [collection[pid] for pid in state.relevant_pool]
-    centroid = pool_centroid(rel_passages, model, mode, index)
+    pool_size = len(state.relevant_pool)
     pids = base.ids()
-    vectors = np.stack([_vector_or_zero(collection[pid], model, mode, index) for pid in pids])
+    vectors = _gather(state.relevant_pool + pids, model, cfg.representation_mode, collection, index)
+    centroid = np.zeros(model.dim)
+    for vec in vectors[:pool_size]:  # row by row, in pool_centroid's summation order
+        centroid += vec
+    centroid /= pool_size
+    vectors = vectors[pool_size:]
     norms = np.linalg.norm(vectors, axis=1)
     cnorm = np.linalg.norm(centroid)
     sims = np.zeros(len(pids))
     if cnorm > 0.0:
         ok = norms > 0.0
         sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
-    fused = np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims
+    fused = (np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims).tolist()
     order = sorted(range(len(pids)), key=lambda i: (-fused[i], pids[i]))
     return RankedList(
         query_id=base.query_id,
-        entries=tuple((pids[i], float(fused[i])) for i in order),
+        entries=tuple((pids[i], fused[i]) for i in order),
     )

@@ -21,9 +21,11 @@ from .corpus import Passage, PassageCollection, Query
 TermVector = dict[str, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class Index:
-    """Forward rows, postings and corpus statistics; treat as immutable once built."""
+    """Forward rows, postings and corpus statistics; treat as immutable once built.
+
+    Compared and hashed by identity, so caches can key on the index."""
 
     ids: tuple[str, ...]
     id_to_pos: dict[str, int]
@@ -39,6 +41,7 @@ class Index:
     total_tokens: int
     passage_count: int
     tie_rank: np.ndarray = field(repr=False, default=None)  # rank of each position under id-ascending order
+    _log_len: dict[float, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     @property
     def avg_doc_len(self) -> float:
@@ -46,6 +49,15 @@ class Index:
 
     def __contains__(self, term: str) -> bool:
         return term in self.term_ids
+
+    def log_len_plus(self, mu: float) -> np.ndarray:
+        """ln(|d| + mu) of every passage, computed once per mu (read-only)."""
+        logs = self._log_len.get(mu)
+        if logs is None:
+            logs = np.log(self.doc_len + mu)
+            logs.setflags(write=False)
+            self._log_len[mu] = logs
+        return logs
 
     def row(self, passage: Passage) -> tuple[np.ndarray, np.ndarray]:
         """The passage's forward row: its ascending term ids and their tfs."""

@@ -8,7 +8,18 @@ Three scorers:
   rank_rocchio dot product between a tf-idf query vector and tf-idf passages
 
 All rankings are deterministic: descending score with ties broken by
-ascending passage_id. Excluded passages never appear in the output.
+ascending passage_id (the index's tie_rank). Excluded passages never appear
+in the output.
+
+A ranking of depth k with e passages excluded does not sort all n scores.
+np.partition finds the cut, the (k + e)-th highest score. The passages
+above the cut are kept, and of those tied at it the ones first in
+passage_id order, until k + e are kept. Every other passage sorts after all
+of these, so sorting them by (-score, tie_rank) gives exactly the first
+k + e entries of the full sort. Dropping the excluded passages among them
+and cutting to k gives the ranking. NaN scores sort last and never reach
+the cut. The full sort is used when k + e >= n and when the cut score is
+not finite: an infinite score, or fewer than k + e scores that are not NaN.
 """
 
 from __future__ import annotations
@@ -67,21 +78,35 @@ class RankedList:
 
 
 def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth: int, query_id: str) -> RankedList:
-    """Sort by (-score, passage_id asc), drop excluded, cut to depth."""
+    """The first depth entries of the (-score, passage_id asc) order over the
+    passages not excluded."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if exclude:
-        keep = np.ones(index.passage_count, dtype=bool)
-        for pid in exclude:
-            pos = index.id_to_pos.get(pid)
-            if pos is not None:
-                keep[pos] = False
-        cand = np.nonzero(keep)[0]
-    else:
-        cand = np.arange(index.passage_count)
+    id_to_pos = index.id_to_pos
+    excluded = {id_to_pos[pid] for pid in exclude if pid in id_to_pos}
+    n = index.passage_count
+    k = depth + len(excluded)
+    cand = None
+    if k < n:
+        # selecting the k-th smallest of -scores stays fast when most scores
+        # are equal, which selecting the (n-k)-th smallest of scores does not
+        cut = -np.partition(-scores, k - 1)[k - 1]
+        if np.isfinite(cut):
+            above = np.flatnonzero(scores > cut)
+            tied = np.flatnonzero(scores == cut)
+            need = k - len(above)
+            if len(tied) > need:  # of the tied passages, the first in id order
+                tied = tied[np.argpartition(index.tie_rank[tied], need - 1)[:need]]
+            cand = np.concatenate((above, tied))
+    if cand is None:
+        cand = np.arange(n)
     order = np.lexsort((index.tie_rank[cand], -scores[cand]))
-    top = cand[order[:depth]]
-    entries = tuple((index.ids[i], float(scores[i])) for i in top)
+    # the first k of the order hold every passage of the answer
+    top = cand[order[:k]].tolist()
+    if excluded:
+        top = [i for i in top if i not in excluded][:depth]
+    ids = index.ids
+    entries = tuple(zip([ids[i] for i in top], scores[top].tolist()))
     return RankedList(query_id=query_id, entries=entries)
 
 
@@ -111,10 +136,11 @@ def rank_ql(
             logger.warning("query term %r unseen in collection; skipped", term)
             continue
         kept_weight += weight
-        const += weight * np.log(mu * p_c)
+        log_smooth = np.log(mu * p_c)
+        const += weight * log_smooth
         positions, tfs = index.postings[term]
-        scores[positions] += weight * (np.log(tfs + mu * p_c) - np.log(mu * p_c))
-    scores += const - kept_weight * np.log(index.doc_len + mu)
+        scores[positions] += weight * (np.log(tfs + mu * p_c) - log_smooth)
+    scores += const - kept_weight * index.log_len_plus(mu)
     return _take_top(index, scores, exclude, depth, query_id)
 
 

@@ -135,17 +135,56 @@ class TestRunIrf:
                         "run_irf_rm3_2x5.txt", "run_irf_rm3_5x2.txt"]
 
     def test_seeded_rerun_identical_run_files(self, synth_dir, tmp_path):
+        model_path = tmp_path / "pvc.emb"
+        assert run_cli("train-embeddings", "--corpus", str(synth_dir / "corpus.jsonl"),
+                       "--mode", "pvc", "--out", str(model_path), "--dim", "8",
+                       "--epochs", "1", "--seed", "4") == 0
+        variants = {"plain": {}}
+        for mode in ("pvc", "avg_w2v"):
+            variants[mode] = dict(
+                feedback={"methods": ["rm3", "erm"], "m": 5, "alpha_interp": 0.5},
+                embeddings={"model_path": str(model_path), "representation_mode": mode},
+                fusion={"enabled": True, "lambda_sf": 2.0},
+            )
         outs = []
         for sub, extra in (("x", ["--deterministic"]), ("y", ["--deterministic"]),
                            ("z", ["--threads", "2"])):
-            out_dir = tmp_path / sub
-            cfg = experiment_config(synth_dir, out_dir)
-            code = run_cli("run-irf", "--config", write_config(tmp_path / f"{sub}.json", cfg), *extra)
-            assert code == 0
-            outs.append((out_dir / "run_irf_rm3_2x2.txt").read_bytes())
+            files = {}
+            for name, overrides in variants.items():
+                out_dir = tmp_path / sub / name
+                cfg = experiment_config(synth_dir, out_dir, **overrides)
+                code = run_cli("run-irf", "--config", write_config(tmp_path / f"{sub}-{name}.json", cfg), *extra)
+                assert code == 0
+                files.update({(name, p.name): p.read_bytes() for p in out_dir.glob("run_irf_*.txt")})
+            outs.append(files)
+        assert sorted(outs[0]) == [("avg_w2v", "run_irf_erm_2x2.txt"), ("avg_w2v", "run_irf_rm3_2x2.txt"),
+                                   ("plain", "run_irf_rm3_2x2.txt"),
+                                   ("pvc", "run_irf_erm_2x2.txt"), ("pvc", "run_irf_rm3_2x2.txt")]
         assert outs[0] == outs[1]
-        # sessions are pure per query, so threading does not change results
+        # sessions are pure per query and the shared caches hold only fully
+        # built values, so threading does not change results
         assert outs[0] == outs[2]
+
+
+class TestThreadsFlag:
+    def test_threads_above_one_rejected_outside_run_irf(self, tmp_path, capsys):
+        commands = (
+            ["gen-synth", "--output-dir", str(tmp_path / "synth")],
+            ["train-embeddings", "--corpus", "c.jsonl", "--mode", "pvc", "--out", str(tmp_path / "m.emb")],
+            ["run-onerel", "--config", "cfg.json"],
+            ["eval", "--run", "a.txt", "--qrels", "q.txt"],
+            ["significance", "--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "q.txt"],
+        )
+        for argv in commands:
+            assert run_cli(*argv, "--threads", "2") == 2
+            assert f"only run-irf reads --threads; {argv[0]} runs single-threaded" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
+    def test_threads_one_and_deterministic_accepted_everywhere(self, tmp_path):
+        out = tmp_path / "synth"
+        assert run_cli("gen-synth", "--queries", "2", "--relevant-per-query", "2", "--noise", "5",
+                       "--vocab", "24", "--output-dir", str(out), "--threads", "1", "--deterministic") == 0
+        assert (out / "corpus.jsonl").exists()
 
 
 class TestRunIrfWithEmbeddings:

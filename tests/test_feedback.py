@@ -1,9 +1,15 @@
 """Feedback estimators: pools, RM3, distillation EM, Rocchio, ERM."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import irflab
 
 from irflab.corpus import Passage
 from irflab.embeddings import EmbeddingModel
@@ -230,6 +236,26 @@ class TestDistillation:
             for t, w in oracle.items():
                 assert model[t] == pytest.approx(w, abs=1e-9)
 
+    def test_em_likelihood_decrease_raises_under_optimize(self):
+        # A corpus weight above one gives the topic component a negative
+        # weight, outside EM's monotonicity guarantee. The check must still
+        # fire when python -O strips asserts.
+        code = (
+            "from irflab.feedback import _mixture_em\n"
+            "print(__debug__)\n"
+            "try:\n"
+            "    _mixture_em({'a': 2, 'b': 3, 'c': 4}, {'a': 0.5, 'b': 0.5, 'c': 1.0}, {}, 1.2, 0.0, 50, 0.0)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(irflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout.splitlines()
+        assert out[0] == "False"
+        assert out[1].startswith("EM log-likelihood decreased: -2.64")
+        assert " -> -2.68" in out[1]
+
 
 class TestRocchio:
     def test_beta_gamma_zero_scales_query(self):
@@ -325,6 +351,19 @@ class TestERM:
         total = 2 * sig5 + (1 - sig5)
         assert t["q"] == pytest.approx(sig5 / total, abs=1e-12)
         assert t["orth"] == pytest.approx((1 - sig5) / total, abs=1e-12)
+
+    def test_translation_tables_built_once_per_model_and_params(self):
+        from irflab.feedback import _translation_tables
+        model = toy_embeddings(np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]), terms=["q", "near", "far"])
+        erm = ErmParams(neighbors=3)
+        first = _translation_tables(["q", "oov"], model, erm)
+        assert set(first) == {"q"}
+        assert _translation_tables(["q"], model, erm)["q"] is first["q"]
+        assert _translation_tables(["q"], model, ErmParams(neighbors=3))["q"] is first["q"]
+        narrow = _translation_tables(["q"], model, ErmParams(neighbors=2))["q"]
+        assert list(narrow) == ["q", "near"]
+        fresh = toy_embeddings(model.word_vectors, terms=["q", "near", "far"])
+        assert _translation_tables(["q"], fresh, erm)["q"] == first["q"]
 
     def test_pure_translation_weights_hand_computation(self):
         # orthogonal unit vectors for x and y; sigma(a(cos - c)) with a=10,

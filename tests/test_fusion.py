@@ -1,15 +1,18 @@
 """Semantic centroid scoring and score fusion."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from irflab.embeddings import EmbeddingModel
-from irflab.feedback import FeedbackState, update_pools
+from irflab.feedback import ErmParams, FeedbackParams, FeedbackState, estimate_erm, update_pools
 from irflab.fusion import FusionConfig, fused_rank, pool_centroid, semantic_score
 from irflab.index import build_index
-from irflab.retrieval import RankedList
+from irflab.retrieval import RankedList, RetrievalParams, rank_ql
 
-from conftest import make_collection
+from conftest import make_collection, make_query
 
 
 def model_with_passage_vectors(ids, vectors):
@@ -125,3 +128,91 @@ class TestFusedRank:
         from irflab.fusion import LAMBDA_SF_GRID_NARROW, LAMBDA_SF_GRID_WIDE
         assert LAMBDA_SF_GRID_WIDE == (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
         assert LAMBDA_SF_GRID_NARROW == (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
+
+
+class TestFusedRankModes:
+    """fused_rank's gathered vectors against the per-passage semantic_score."""
+
+    def _setup(self):
+        coll = make_collection([["a", "b"], ["b", "c", "c"], ["zz"], ["a", "c"], ["c"]])
+        idx = build_index(coll)
+        model = EmbeddingModel(
+            vocab={"a": 0, "b": 1, "c": 2},
+            word_vectors=np.array([[1.0, 0.0, 0.5], [0.2, 1.0, 0.0], [0.0, 0.3, 1.0]]),
+            context_vectors=np.zeros((3, 3)),
+            dim=3,
+            passage_vectors=np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0],
+                                      [0.5, 0.5, 0.5], [-1.0, 0.2, 0.0]]),
+            passage_ids=coll.ids,
+        )
+        base = RankedList(query_id="q0", entries=(("p001", 2.0), ("p002", 1.5), ("p003", 1.5), ("p004", 0.5)))
+        return coll, idx, model, base
+
+    @pytest.mark.parametrize("mode", ["avg_w2v", "idf_w2v", "pv", "pvc"])
+    def test_scores_are_base_plus_lambda_times_semantic_score(self, mode):
+        coll, idx, model, base = self._setup()
+        lam = 1.7
+        # p002 holds only "zz": no word vector, so avg_w2v/idf_w2v score it 0
+        for pool in (["p000"], ["p000", "p002"]):
+            state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
+            for _ in range(2):  # the second call reads the cached vectors
+                out = fused_rank(base, state, model, FusionConfig(lambda_sf=lam, representation_mode=mode),
+                                 coll, idx)
+                assert sorted(out.ids()) == sorted(base.ids())
+                for pid, fused_score in out.entries:
+                    sem = semantic_score([coll[p] for p in pool], coll[pid], model, mode, idx)
+                    if mode in ("avg_w2v", "idf_w2v") and pid == "p002":
+                        assert sem == 0.0
+                    assert fused_score == pytest.approx(base.score_of(pid) + lam * sem, abs=1e-12)
+                scores = [score for _, score in out.entries]
+                assert scores == sorted(scores, reverse=True)
+
+    def test_unrepresentable_passage_warns_once_per_build(self, caplog):
+        coll, idx, model, base = self._setup()
+        state = update_pools(FeedbackState(), [("p000", True)])
+        with caplog.at_level("WARNING"):
+            for _ in range(3):
+                fused_rank(base, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
+        assert sum("'p002'" in r.getMessage() for r in caplog.records) == 1
+
+    def test_passage_missing_from_model_raises(self):
+        coll, idx, model, base = self._setup()
+        partial = model_with_passage_vectors(coll.ids[:3], model.passage_vectors[:3])
+        for pool, missing in ((["p000"], "p003"), (["p004"], "p004")):
+            state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
+            with pytest.raises(ValueError, match=f"'{missing}' was not in the training corpus"):
+                fused_rank(base, state, partial, FusionConfig(representation_mode="pvc"), coll, idx)
+
+    def test_threads_filling_the_caches_agree_with_serial_calls(self):
+        # Index and model caches are filled by whichever thread gets there
+        # first; every thread must still see complete values.
+        coll, _, model, base = self._setup()
+        state = update_pools(FeedbackState(), [("p000", True)])
+        query = make_query(["a", "c"])
+
+        def calls(idx, emb):
+            out = [rank_ql({"a": 0.5, "c": 0.5}, idx, RetrievalParams(mu=50.0), 5).entries,
+                   estimate_erm(query, [coll["p000"], coll["p003"]], idx, emb, FeedbackParams(m=5),
+                                ErmParams(neighbors=2), mu=50.0)]
+            for mode in ("avg_w2v", "idf_w2v", "pvc"):
+                out.append(fused_rank(base, state, emb, FusionConfig(lambda_sf=2.0, representation_mode=mode),
+                                      coll, idx).entries)
+            return out
+
+        def fresh():
+            return build_index(coll), EmbeddingModel(
+                vocab=model.vocab, word_vectors=model.word_vectors, context_vectors=model.context_vectors,
+                dim=model.dim, passage_vectors=model.passage_vectors, passage_ids=model.passage_ids)
+
+        serial = calls(*fresh())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                idx, emb = fresh()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(calls, idx, emb) for _ in range(16)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(r == serial for r in results)
+        finally:
+            sys.setswitchinterval(switch)

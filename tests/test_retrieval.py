@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irflab.corpus import Passage, PassageCollection
 from irflab.index import build_index, collection_prob, tfidf_vector
 from irflab.retrieval import (
     RankedList,
     RetrievalParams,
     MU_GRID,
     K1_GRID,
+    _take_top,
     rank_bm25,
     rank_ql,
     rank_rocchio,
@@ -209,6 +213,80 @@ class TestDeterminismAndExclusion:
             ranked = rank_ql({"t0": 1.0}, idx, RetrievalParams(), depth=25, exclude=excluded)
             assert not excluded & set(ranked.ids())
             assert len(ranked) == 25 - len(excluded)
+
+    def test_nan_scores_rank_last(self):
+        idx = build_index(make_collection([["t"]] * 5))
+        scores = np.array([np.nan, 1.0, np.nan, 0.5, 2.0])
+        for depth in (1, 2, 3, 5):
+            ranked = _take_top(idx, scores, frozenset(), depth, "q")
+            assert ranked.ids() == ("p004", "p001", "p003", "p000", "p002")[:depth]
+
+
+def shuffled_collection(token_lists, order):
+    """Passage i gets id d<order[i]>, so id order differs from position order."""
+    return PassageCollection(
+        Passage(passage_id=f"d{k:02d}", doc_id=f"d{k:02d}", text=" ".join(tokens), tokens=tuple(tokens))
+        for k, tokens in zip(order, token_lists)
+    )
+
+
+@st.composite
+def take_top_cases(draw):
+    n = draw(st.integers(1, 40))
+    # three or four distinct values, so ties are heavy; +-0.0 tie with each other
+    values = draw(st.sampled_from([(2.5, 0.0, -0.0, -1.0), (1.0, 0.0, -0.0, -math.inf), (0.5, -0.0, 0.25)]))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    order = draw(st.permutations(range(n)))
+    ids = [f"d{k:02d}" for k in order]
+    exclude = frozenset(draw(st.sets(st.sampled_from(ids + ["x1", "x2"]))))
+    depth = draw(st.integers(1, n + 3))
+    return shuffled_collection([["t"]] * n, order), scores, exclude, depth
+
+
+# Small vocabulary and short passages: many passages share a score.
+ranking_cases = st.tuples(
+    st.lists(st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=30),
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+
+
+class TestRankingProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(take_top_cases())
+    def test_take_top_equals_reference_sort(self, case):
+        coll, scores, exclude, depth = case
+        idx = build_index(coll)
+        got = _take_top(idx, scores, exclude, depth, "q")
+        ref = sorted(((pid, s) for pid, s in zip(idx.ids, scores.tolist()) if pid not in exclude),
+                     key=lambda e: (-e[1], e[0]))[:depth]
+        # repr tells 0.0 from -0.0: each entry carries its own passage's score
+        assert [(pid, repr(s)) for pid, s in got.entries] == [(pid, repr(s)) for pid, s in ref]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranking_cases)
+    def test_rankers_are_sorted_unique_and_respect_excludes(self, case):
+        lists, qtokens, rnd = case
+        order = list(range(len(lists)))
+        rnd.shuffle(order)
+        coll = shuffled_collection(lists, order)
+        idx = build_index(coll)
+        ids = list(idx.ids)
+        exclude = frozenset(rnd.sample(ids, rnd.randint(0, len(ids))) + ["x1"])
+        depth = rnd.randint(1, len(ids) + 2)
+        query = make_query(qtokens)
+        params = RetrievalParams(mu=rnd.choice(MU_GRID), k1=rnd.choice(K1_GRID))
+        qmodel = {t: w / len(qtokens) for t, w in {t: qtokens.count(t) for t in qtokens}.items()}
+        qvec = {t: rnd.uniform(0.1, 2.0) for t in qtokens}
+        for ranked in (rank_ql(qmodel, idx, params, depth, exclude),
+                       rank_bm25(query, idx, params, depth, exclude),
+                       rank_rocchio(qvec, idx, depth, exclude)):
+            got = ranked.ids()
+            assert len(set(got)) == len(got)
+            assert not set(got) & exclude
+            assert len(got) == min(depth, len(ids) - len(exclude & set(ids)))
+            for (pid_a, a), (pid_b, b) in zip(ranked.entries, ranked.entries[1:]):
+                assert a > b or (a == b and pid_a < pid_b)
 
 
 class TestRunFiles:
