@@ -86,7 +86,6 @@ class EmbeddingModel:
         self._pid_to_row = (
             {pid: i for i, pid in enumerate(self.passage_ids)} if self.passage_ids else {}
         )
-        self._unit_words: np.ndarray | None = None
         self._memo: dict = {}
 
     def cached(self, key, build):
@@ -102,17 +101,16 @@ class EmbeddingModel:
 
     def unit_word_vectors(self) -> np.ndarray:
         """Row-normalized word vectors (zero rows stay zero); cached."""
-        if self._unit_words is None:
-            norms = np.linalg.norm(self.word_vectors, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            self._unit_words = self.word_vectors / norms
-        return self._unit_words
+        return self.cached("unit", self._build_unit_words)
+
+    def _build_unit_words(self) -> np.ndarray:
+        norms = np.linalg.norm(self.word_vectors, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return self.word_vectors / norms
 
     def passage_row(self, passage_id: str) -> np.ndarray:
-        if self.passage_vectors is None:
-            raise ValueError("model has no trained passage vectors")
-        row = self._pid_to_row.get(passage_id)
-        if row is None:
+        (row,) = self.passage_rows([passage_id]).tolist()
+        if row < 0:
             raise ValueError(f"passage {passage_id!r} was not in the training corpus")
         return self.passage_vectors[row]
 

@@ -8,11 +8,12 @@ embedding space, and that similarity is added to the base feedback score:
 Scores are combined raw (no normalization); the lambda grids absorb the
 scale differences between feedback methods.
 
-fused_rank reads the pool and candidate vectors with one fancy index from
-vectors built once per (model, mode, index) and cached on the model: pv/pvc
-gather the trained passage vectors in place, avg_w2v/idf_w2v a matrix of
-every indexed passage's representation. pool_centroid and semantic_score
-compute each vector on the fly; they are the per-passage reference.
+For pv/pvc, fused_rank reads the pool and candidate vectors with one fancy
+index into the trained passage vectors, through a map from index position to
+model row built once per (model, index); the vectors are not copied.
+avg_w2v/idf_w2v vectors are computed per call, for the pool and candidates
+only. pool_centroid and semantic_score compute each vector on the fly; they
+are the per-passage reference.
 """
 
 from __future__ import annotations
@@ -83,27 +84,17 @@ def semantic_score(
     return cosine(centroid, vec)
 
 
-def _representation_matrix(model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
-    """Every indexed passage's vector, row by index position (read-only)."""
-    matrix = np.zeros((index.passage_count, model.dim))
-    for i, pid in enumerate(index.ids):
-        matrix[i] = _vector_or_zero(collection[pid], model, mode, index)
-    matrix.setflags(write=False)
-    return matrix
-
-
 def _gather(pids: Sequence[str], model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
     """The passages' vectors, one row each; unrepresentable ones are zero.
     A passage missing from a pv/pvc model raises ValueError."""
-    positions = [index.id_to_pos[pid] for pid in pids]
-    if mode in ("pv", "pvc"):
-        rows = model.cached(("pv", index), lambda: model.passage_rows(index.ids))[positions]
-        missing = np.flatnonzero(rows < 0)
-        if len(missing):
-            raise ValueError(f"passage {pids[missing[0]]!r} was not in the training corpus")
-        return model.passage_vectors[rows]
-    matrix = model.cached((mode, index), lambda: _representation_matrix(model, mode, collection, index))
-    return matrix[positions]
+    if mode not in ("pv", "pvc"):
+        return np.stack([_vector_or_zero(collection[pid], model, mode, index) for pid in pids])
+    rows = model.cached(("pv", index), lambda: model.passage_rows(index.ids))
+    rows = rows[[index.id_to_pos[pid] for pid in pids]]
+    missing = np.flatnonzero(rows < 0)
+    if len(missing):
+        raise ValueError(f"passage {pids[missing[0]]!r} was not in the training corpus")
+    return model.passage_vectors[rows]
 
 
 def fused_rank(

@@ -167,13 +167,18 @@ class TestFusedRankModes:
                 scores = [score for _, score in out.entries]
                 assert scores == sorted(scores, reverse=True)
 
-    def test_unrepresentable_passage_warns_once_per_build(self, caplog):
+    def test_unrepresentable_candidate_warns_on_every_call(self, caplog):
         coll, idx, model, base = self._setup()
         state = update_pools(FeedbackState(), [("p000", True)])
         with caplog.at_level("WARNING"):
             for _ in range(3):
                 fused_rank(base, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
-        assert sum("'p002'" in r.getMessage() for r in caplog.records) == 1
+            assert sum("'p002'" in r.getMessage() for r in caplog.records) == 3
+            caplog.clear()
+            # without p002 among the candidates nothing is computed for it
+            short = RankedList(query_id="q0", entries=(("p001", 2.0), ("p003", 1.5)))
+            fused_rank(short, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
+        assert not caplog.records
 
     def test_passage_missing_from_model_raises(self):
         coll, idx, model, base = self._setup()
