@@ -9,11 +9,14 @@ Three trainers share one loss core:
                       embeddings, resampled every optimizer step; the
                       stored passage vector is the plain mean
 
-Batch size counts target positions and is the unit of work of one
-optimizer round; within a batch the gradients of each target position are
-summed and applied immediately, word2vec style, which keeps high-frequency
-rows stable at the default learning rate. Training is single-threaded and,
-for a fixed seed, bit-for-bit reproducible. The vocabulary and its
+Updates are per target position, word2vec style: a position's gradients
+are all taken at one parameter point and applied before the next position
+is scored, which keeps high-frequency rows stable at the default learning
+rate (applying a whole batch's summed gradients at once diverged at lr
+0.05). Batch size counts target positions and is the unit of work: its
+random draws, rows and learning rates are laid out once per unit, and each
+position then runs one row kernel, _ns_rows. Training is single-threaded
+and, for a fixed seed, bit-for-bit reproducible. The vocabulary and its
 frequencies come from build_index.
 
 Model files are version-tagged little-endian snapshots; a truncated file or
@@ -122,38 +125,57 @@ class EmbeddingModel:
         return np.array([self._pid_to_row.get(pid, -1) for pid in passage_ids], dtype=np.int64)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # clip keeps exp in range; sigmoid saturates long before +-60 anyway
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+def _ns_rows(G: np.ndarray, y: np.ndarray, head: int, rep, w: np.ndarray, scale: float, s: np.ndarray):
+    """Negative-sampling gradients of one target position over its rows G.
 
-
-def _ns_batch(centers: np.ndarray, positives: np.ndarray, negatives: np.ndarray):
-    """Loss and gradients of -ln s(c.p) - sum_k ln s(-c.n_k), batched.
-
-    centers/positives are (B, d), negatives (B, K, d). Returns per-pair
-    losses and gradients with matching shapes.
+    Rows [0, head) are scored against rep, the others against w; y is 1.0
+    on positive rows and 0.0 on negatives. The loss is sum_r ln(1 + e^z_r)
+    with z_r = -s_r on positive rows and s_r on negatives, s_r being the
+    row's score, which is written into s. Returns the gradients with respect
+    to rep, w and each row of G, all multiplied by scale.
     """
-    s_pos = np.einsum("bd,bd->b", centers, positives)
-    s_neg = np.einsum("bd,bkd->bk", centers, negatives)
-    loss = np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum(axis=1)
-    a = _sigmoid(s_pos) - 1.0
-    b = _sigmoid(s_neg)
-    g_center = a[:, None] * positives + np.einsum("bk,bkd->bd", b, negatives)
-    g_pos = a[:, None] * centers
-    g_negs = b[:, :, None] * centers[:, None, :]
-    return loss, g_center, g_pos, g_negs
+    if head:
+        np.dot(G[:head], rep, out=s[:head])
+    np.dot(G[head:], w, out=s[head:])
+    # sigmoid(s) - y; clipping at +-60, where sigmoid has long saturated, keeps exp in range
+    coef = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(s, -60.0), 60.0)))
+    coef -= y
+    coef *= scale
+    # row gradients: outer products, as k=1 matrix products (BLAS; ~2x np.outer's speed)
+    g_rows = np.empty_like(G)
+    g_rep = None
+    if head:
+        g_rep = coef[:head] @ G[:head]
+        np.dot(coef[:head, None], rep[None, :], out=g_rows[:head])
+    g_w = coef[head:] @ G[head:]
+    np.dot(coef[head:, None], w[None, :], out=g_rows[head:])
+    return g_rep, g_w, g_rows
+
+
+def _ns_loss(s: np.ndarray, y: np.ndarray) -> float:
+    """Summed loss of the rows whose scores are s and labels y (see _ns_rows)."""
+    return float(np.logaddexp(0.0, np.where(y > 0.0, -s, s)).sum())
+
+
+def _ns_pair(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray):
+    G = np.vstack((positive[None, :], negatives))
+    y = np.zeros(len(G))
+    y[0] = 1.0
+    s = np.empty(len(G))
+    _, g_c, g_rows = _ns_rows(G, y, 0, None, center, 1.0, s)
+    return _ns_loss(s, y), g_c, g_rows
 
 
 def ns_pair_loss(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray) -> float:
-    """Scalar negative-sampling loss for one (center, positive, negatives) triple."""
-    loss, _, _, _ = _ns_batch(center[None, :], positive[None, :], negatives[None, :, :])
-    return float(loss[0])
+    """Scalar negative-sampling loss for one (center, positive, negatives) triple,
+    computed by the row kernel the trainers run."""
+    return _ns_pair(center, positive, negatives)[0]
 
 
 def ns_pair_grads(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray):
     """Analytic gradients matching ns_pair_loss, as (g_center, g_positive, g_negatives)."""
-    _, g_c, g_p, g_n = _ns_batch(center[None, :], positive[None, :], negatives[None, :, :])
-    return g_c[0], g_p[0], g_n[0]
+    _, g_c, g_rows = _ns_pair(center, positive, negatives)
+    return g_c, g_rows[0], g_rows[1:]
 
 
 def corrupted_mean(vectors: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
@@ -189,10 +211,6 @@ def _encode(collection: PassageCollection, vocab: dict[str, int]) -> list[np.nda
 def _negative_cdf(freqs: np.ndarray) -> np.ndarray:
     p = freqs**0.75
     return np.cumsum(p / p.sum())
-
-
-def _draw_negatives(rng: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random(shape), side="right").astype(np.int64)
 
 
 def _passage_pairs(seq: np.ndarray, window: int):
@@ -270,6 +288,7 @@ class _Trainer:
         self.config = config
         self.vocab, self.freqs = _build_vocab(collection)
         self.seqs = _encode(collection, self.vocab)
+        self.seq_lens = np.array([len(s) for s in self.seqs], dtype=np.int64)
         self.passage_ids = collection.ids
         self.cdf = _negative_cdf(self.freqs)
         rng = np.random.default_rng(config.seed)
@@ -282,93 +301,99 @@ class _Trainer:
         self.rng = rng
         self.epoch_losses: list[float] = []
         # linear lr decay over the whole run, floored at 1e-4 of the start
-        self.total_positions = max(1, sum(len(s) for s in self.seqs) * config.epochs)
+        self.total_positions = max(1, int(self.seq_lens.sum()) * config.epochs)
         self.positions_done = 0
 
-    def _next_lr(self) -> float:
-        lr = self.config.learning_rate * max(1e-4, 1.0 - self.positions_done / self.total_positions)
-        self.positions_done += 1
-        return lr
+    def _step(self, batch: _Batch) -> tuple[float, int]:
+        """One work unit, updated position by position.
 
-    def _step_skipgram(self, batch: _Batch) -> tuple[float, int]:
-        """Process one work unit position by position."""
+        A position's rows into C are, in pv modes, the observed word and k
+        negatives, scored against the passage representation, then its n
+        context words and n * k negatives, scored against the observed
+        word's vector; y marks the positive rows. All of a position's
+        gradients are computed at the same parameter point and applied
+        together. In corrupted mode the representation is resampled
+        every position and its gradient falls on the kept word rows.
+        What does not depend on the parameters (random draws, rows, labels,
+        learning rates) is laid out for the whole unit first."""
         cfg = self.config
-        rng = self.rng
-        d = cfg.dim
-        cum = np.concatenate(([0], np.cumsum(batch.pair_counts)))
-        total = 0.0
-        for i, wt in enumerate(batch.pos_target):
-            lr = self._next_lr()
-            ctx = batch.pair_contexts[cum[i]:cum[i + 1]]
-            n = len(ctx)
-            if n == 0:
-                continue
-            negs = _draw_negatives(rng, self.cdf, n * cfg.negatives)
-            rows = np.concatenate((ctx, negs))
-            gathered = self.C[rows]
-            centers = np.broadcast_to(self.W[wt], (n, d))
-            loss, g_c, g_p, g_n = _ns_batch(centers, gathered[:n], gathered[n:].reshape(n, cfg.negatives, d))
-            self.W[wt] -= lr * g_c.sum(axis=0)
-            np.add.at(self.C, rows, -lr * np.concatenate((g_p, g_n.reshape(-1, d))))
-            total += float(loss.sum())
-        return total, int(cum[-1])
-
-    def _step_hdc(self, batch: _Batch) -> tuple[float, int]:
-        """One work unit of the two-part update: the passage representation
-        predicts the observed word, then the word predicts its context. Both
-        parts of a position are computed at the same parameter point and
-        applied together; in corrupted mode the representation is resampled
-        every position and its gradient falls on the kept word rows."""
-        cfg = self.config
-        d = cfg.dim
-        k = cfg.negatives
-        q = cfg.corruption_q
-        rng = self.rng
+        d, k, q = cfg.dim, cfg.negatives, cfg.corruption_q
         corrupted = cfg.mode == "pv_hdc_corrupted"
-        cum = np.concatenate(([0], np.cumsum(batch.pair_counts)))
-        total = 0.0
-        n_lossed = 0
-        for i, wt in enumerate(batch.pos_target):
-            lr = self._next_lr()
-            pi = batch.pos_passage[i]
-            seq = self.seqs[pi]
+        head = 0 if cfg.mode == "skipgram" else 1  # passage-side pairs per position
+        head_rows = head * (1 + k)
+        counts = batch.pair_counts
+        n_pos = len(counts)
+        pairs = counts + head
+        ends = np.cumsum(pairs * (1 + k))
+        starts = ends - pairs * (1 + k)
+
+        # the random stream, position by position: the corruption mask over
+        # the passage's words (corrupted mode), then k negatives per pair
+        if corrupted:
+            lens = self.seq_lens[batch.pos_passage]
+            is_neg = np.repeat(np.tile([False, True], n_pos), np.column_stack((lens, pairs * k)).ravel())
+            draws = self.rng.random(len(is_neg))
+            keep = draws[~is_neg] < (1.0 - q)
+            kept = np.concatenate([self.seqs[pi] for pi in batch.pos_passage])[keep]
+            kept_bounds = np.concatenate(([0], np.cumsum(keep)[np.cumsum(lens) - 1])).tolist()
+            rep_scale = (1.0 / ((1.0 - q) * lens)).tolist()
+            draws = draws[is_neg]
+        else:
+            draws = self.rng.random(int(pairs.sum()) * k)
+
+        rows = np.empty(int(ends[-1]), dtype=np.int64)
+        y = np.zeros(len(rows))
+        ctx_slots = np.repeat(starts + head_rows - (np.cumsum(counts) - counts), counts)
+        ctx_slots += np.arange(len(ctx_slots))
+        rows[ctx_slots] = batch.pair_contexts
+        y[ctx_slots] = 1.0
+        if head:
+            rows[starts] = batch.pos_target
+            y[starts] = 1.0
+        rows[y == 0.0] = np.searchsorted(self.cdf, draws, side="right")
+        row_starts = rows * d  # each row's first element in C.reshape(-1)
+        cols = np.arange(d)
+        done = self.positions_done
+        lrs = cfg.learning_rate * np.maximum(1e-4, 1.0 - np.arange(done, done + n_pos) / self.total_positions)
+        self.positions_done = done + n_pos
+
+        W, C, P = self.W, self.C, self.P
+        C_flat = C.reshape(-1)
+        scores = np.empty(len(rows))
+        zero = np.zeros(d)
+        for i, (a, b, wt, pi, neg_lr) in enumerate(zip(
+            starts.tolist(), ends.tolist(), batch.pos_target.tolist(), batch.pos_passage.tolist(),
+            (-lrs).tolist(),
+        )):
+            if a == b:
+                continue
+            G = C.take(rows[a:b], axis=0)
+            w = W[wt]
+            rep = None
             if corrupted:
-                mask = rng.random(len(seq)) < (1.0 - q)
-                kept = seq[mask]
-                scale = 1.0 / ((1.0 - q) * len(seq))
-                rep = self.W[kept].sum(axis=0) * scale if kept.size else np.zeros(d)
-            else:
-                rep = self.P[pi]
-            ctx = batch.pair_contexts[cum[i]:cum[i + 1]]
-            n = len(ctx)
-            # one gradient call covers both parts: row 0 is (rep -> observed
-            # word), rows 1.. are (observed word -> context)
-            negs = _draw_negatives(rng, self.cdf, (n + 1) * k)
-            rows = np.concatenate(([wt], ctx, negs))
-            gathered = self.C[rows]
-            centers = np.vstack((rep[None, :], np.broadcast_to(self.W[wt], (n, d))))
-            loss, g_c, g_p, g_n = _ns_batch(
-                centers, gathered[:1 + n], gathered[1 + n:].reshape(n + 1, k, d)
-            )
-            if n:
-                self.W[wt] -= lr * g_c[1:].sum(axis=0)
+                kept_rows = kept[kept_bounds[i]:kept_bounds[i + 1]]
+                rep = W.take(kept_rows, axis=0).sum(axis=0) * rep_scale[i] if len(kept_rows) else zero
+            elif head:
+                rep = P[pi]
+            # row gradients first: w and rep are views of W and P
+            g_rep, g_w, g_rows = _ns_rows(G, y[a:b], head_rows, rep, w, neg_lr, scores[a:b])
+            if b - a > head_rows:
+                w += g_w
             if corrupted:
-                if kept.size:
-                    np.add.at(self.W, kept, -lr * scale * g_c[0])
-            else:
-                self.P[pi] -= lr * g_c[0]
-            np.add.at(self.C, rows, -lr * np.concatenate((g_p, g_n.reshape(-1, d))))
-            total += float(loss.sum())
-            n_lossed += 1 + n
-        return total, n_lossed
+                if len(kept_rows):
+                    np.add.at(W, kept_rows, rep_scale[i] * g_rep)
+            elif head:
+                rep += g_rep
+            # flat indices: the same element order as 2-D rows, several times faster
+            np.add.at(C_flat, (row_starts[a:b, None] + cols).ravel(), g_rows.ravel())
+        return _ns_loss(scores, y), int(pairs.sum())
 
     def run(self) -> None:
         cfg = self.config
-        step = self._step_skipgram if cfg.mode == "skipgram" else self._step_hdc
         for _ in range(cfg.epochs):
             total, count = 0.0, 0
             for batch in _iter_batches(self.seqs, cfg.window, cfg.batch_size):
-                loss, n = step(batch)
+                loss, n = self._step(batch)
                 total += loss
                 count += n
             self.epoch_losses.append(total / max(count, 1))

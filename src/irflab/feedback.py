@@ -239,7 +239,8 @@ def estimate_distillation(
         raise ValueError("relevant pool is empty")
     lambda_nr = params.lambda_nr
     if lambda_nr > 0.0 and not nr_pool:
-        logger.warning("non-relevant pool empty; dropping the non-relevant mixture component")
+        # the normal state of a session whose judged passages were all relevant
+        logger.debug("non-relevant pool empty; dropping the non-relevant mixture component")
         lambda_nr = 0.0
     if params.lambda_mix + lambda_nr >= 1.0:
         raise ValueError("lambda_mix + lambda_nr must be < 1")

@@ -70,12 +70,6 @@ class RankedList:
     def ids(self) -> tuple[str, ...]:
         return tuple(pid for pid, _ in self.entries)
 
-    def score_of(self, passage_id: str) -> float:
-        for pid, score in self.entries:
-            if pid == passage_id:
-                return score
-        raise KeyError(passage_id)
-
 
 def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth: int, query_id: str) -> RankedList:
     """The first depth entries of the (-score, passage_id asc) order over the
@@ -159,7 +153,9 @@ def rank_bm25(
         raise ValueError(f"query {query.query_id!r} has no tokens")
     k1, b = params.k1, params.b
     n = index.passage_count
-    norm = k1 * (1.0 - b + b * index.doc_len / index.avg_doc_len)
+    # in a collection of empty passages every length equals the average, 0
+    rel_len = index.doc_len / index.avg_doc_len if index.avg_doc_len > 0 else np.ones(n)
+    norm = k1 * (1.0 - b + b * rel_len)
     scores = np.zeros(n, dtype=np.float64)
     for term, mult in query_counts(query).items():
         if term not in index:

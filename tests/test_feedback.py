@@ -1,5 +1,6 @@
 """Feedback estimators: pools, RM3, distillation EM, Rocchio, ERM."""
 
+import logging
 import math
 import os
 import subprocess
@@ -188,10 +189,15 @@ class TestDistillation:
         coll, idx = tiny_index
         pool = [coll["p000"]]
         params = FeedbackParams(alpha_interp=0.0, lambda_mix=0.3, lambda_nr=0.4, m=10)
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             model = estimate_distillation(make_query(["a"]), pool, [], idx, params)
+        # an all-relevant session's normal state: dropped quietly, not warned
         assert any("non-relevant pool empty" in r.message for r in caplog.records)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         check_query_model(model)
+        without = estimate_distillation(make_query(["a"]), pool, [], idx,
+                                        FeedbackParams(alpha_interp=0.0, lambda_mix=0.3, lambda_nr=0.0, m=10))
+        assert model == without
 
     def test_nr_component_suppresses_nr_terms(self):
         coll = make_collection([["a", "b"], ["b", "c"], ["a", "a", "b", "b"], ["b", "b", "b"]])

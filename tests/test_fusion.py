@@ -116,9 +116,10 @@ class TestFusedRank:
         coll, idx, model, base, state = self._setup()
         lam = 2.5
         out = fused_rank(base, state, model, FusionConfig(lambda_sf=lam, representation_mode="pv"), coll, idx)
+        base_scores = dict(base.entries)
         for pid, fused_score in out.entries:
             sem = semantic_score([coll["p000"]], coll[pid], model, "pv", idx)
-            assert fused_score == pytest.approx(base.score_of(pid) + lam * sem, abs=1e-9)
+            assert fused_score == pytest.approx(base_scores[pid] + lam * sem, abs=1e-9)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +153,7 @@ class TestFusedRankModes:
     def test_scores_are_base_plus_lambda_times_semantic_score(self, mode):
         coll, idx, model, base = self._setup()
         lam = 1.7
+        base_scores = dict(base.entries)
         # p002 holds only "zz": no word vector, so avg_w2v/idf_w2v score it 0
         for pool in (["p000"], ["p000", "p002"]):
             state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
@@ -163,7 +165,7 @@ class TestFusedRankModes:
                     sem = semantic_score([coll[p] for p in pool], coll[pid], model, mode, idx)
                     if mode in ("avg_w2v", "idf_w2v") and pid == "p002":
                         assert sem == 0.0
-                    assert fused_score == pytest.approx(base.score_of(pid) + lam * sem, abs=1e-12)
+                    assert fused_score == pytest.approx(base_scores[pid] + lam * sem, abs=1e-12)
                 scores = [score for _, score in out.entries]
                 assert scores == sorted(scores, reverse=True)
 

@@ -1,6 +1,7 @@
 """QL / BM25 / Rocchio scoring against brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ class TestRankBM25:
         _, idx = tiny_index
         with pytest.raises(ValueError):
             rank_bm25(make_query([]), idx, RetrievalParams(), depth=1)
+
+    def test_all_empty_passages_score_zero_without_warnings(self):
+        idx = build_index(make_collection([[], [], []]))
+        assert idx.avg_doc_len == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranked = rank_bm25(make_query(["a"]), idx, RetrievalParams(), depth=3)
+        assert ranked.entries == (("p000", 0.0), ("p001", 0.0), ("p002", 0.0))
 
 
 class TestRankRocchio:
