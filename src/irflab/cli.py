@@ -174,6 +174,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_significance(args) -> int:
+    if args.permutations < 1:
+        raise ConfigError(f"--permutations must be >= 1, got {args.permutations}")
     p = significance_between(
         args.run_a, args.run_b, args.qrels, args.metric,
         permutations=args.permutations, seed=args.seed if args.seed is not None else 0,

@@ -77,6 +77,9 @@ def load_experiment_config(path) -> dict:
         values = cfg.get(section, {}).get(grid_key)
         if values is not None and (not isinstance(values, list) or not values):
             raise ConfigError(f"{section}.{grid_key} must be a non-empty list")
+    folds = cfg.get("evaluation", {}).get("folds")
+    if folds is not None and (type(folds) is not int or folds < 2):
+        raise ConfigError(f"evaluation.folds must be an integer >= 2, got {folds!r}")
     return cfg
 
 

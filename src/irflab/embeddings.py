@@ -13,7 +13,9 @@ Updates are per target position, word2vec style: a position's gradients
 are all taken at one parameter point and applied before the next position
 is scored, which keeps high-frequency rows stable at the default learning
 rate (applying a whole batch's summed gradients at once diverged at lr
-0.05). Batch size counts target positions and is the unit of work: its
+0.05). The corpus is laid out once per run, as flat arrays over its
+in-vocabulary positions (passage, word, context words); a work unit is a
+slice of the next batch_size positions, which may span passages. A unit's
 random draws, rows and learning rates are laid out once per unit, and each
 position then runs one row kernel, _ns_rows. Training is single-threaded
 and, for a fixed seed, bit-for-bit reproducible. The vocabulary and its
@@ -29,7 +31,7 @@ import json
 import logging
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,74 +215,29 @@ def _negative_cdf(freqs: np.ndarray) -> np.ndarray:
     return np.cumsum(p / p.sum())
 
 
-def _passage_pairs(seq: np.ndarray, window: int):
-    """Context words of every target position, grouped by position.
+def _layout(seqs: Sequence[np.ndarray], window: int):
+    """Every in-vocabulary position of the corpus, passage by passage.
 
-    Returns (contexts, counts): counts[t] pairs for position t, contexts
-    stored position-by-position. The pair's center word is seq[t].
+    Returns flat int64 arrays (pos_passage, pos_target, pair_counts,
+    pair_contexts, pair_ptr): each position's passage index, word and
+    number of context pairs; the context words, position by position, in
+    the order left 1, right 1, left 2, right 2, ... within the window and
+    the passage; and pair_ptr, the cumulative pair counts from 0, so that
+    position t's contexts are pair_contexts[pair_ptr[t]:pair_ptr[t + 1]].
+    A work unit is a [lo, hi) slice of the positions.
     """
-    length = len(seq)
-    xs, ps = [], []
-    for off in range(1, min(window, length - 1) + 1):
-        xs.append(seq[:-off])
-        ps.append(np.arange(off, length))
-        xs.append(seq[off:])
-        ps.append(np.arange(0, length - off))
-    if not xs:
-        return np.empty(0, dtype=np.int64), np.zeros(length, dtype=np.int64)
-    contexts = np.concatenate(xs)
-    pos = np.concatenate(ps)
-    order = np.argsort(pos, kind="stable")
-    return contexts[order], np.bincount(pos, minlength=length)
-
-
-@dataclass
-class _Batch:
-    pos_passage: np.ndarray   # passage index per target position
-    pos_target: np.ndarray    # word index per target position
-    pair_contexts: np.ndarray  # context words, grouped by position
-    pair_counts: np.ndarray    # pairs per position
-
-
-def _iter_batches(seqs: Sequence[np.ndarray], window: int, batch_positions: int) -> Iterator[_Batch]:
-    """Pack target positions into work units of batch_positions, never
-    splitting a position's pairs across units."""
-    buf: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    buffered = 0
-
-    def flush() -> _Batch:
-        nonlocal buf, buffered
-        batch = _Batch(
-            pos_passage=np.concatenate([b[0] for b in buf]),
-            pos_target=np.concatenate([b[1] for b in buf]),
-            pair_contexts=np.concatenate([b[2] for b in buf]),
-            pair_counts=np.concatenate([b[3] for b in buf]),
-        )
-        buf = []
-        buffered = 0
-        return batch
-
-    for pi, seq in enumerate(seqs):
-        if len(seq) == 0:
-            continue
-        contexts, counts = _passage_pairs(seq, window)
-        cum = np.concatenate(([0], np.cumsum(counts)))
-        start = 0
-        while start < len(seq):
-            take = min(batch_positions - buffered, len(seq) - start)
-            end = start + take
-            buf.append((
-                np.full(take, pi, dtype=np.int64),
-                seq[start:end],
-                contexts[cum[start]:cum[end]],
-                counts[start:end],
-            ))
-            buffered += take
-            start = end
-            if buffered == batch_positions:
-                yield flush()
-    if buffered:
-        yield flush()
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    pos_passage = np.repeat(np.arange(len(seqs), dtype=np.int64), lens)
+    pos_target = np.concatenate(seqs).astype(np.int64, copy=False)
+    offsets = np.arange(1, window + 1)
+    steps = np.column_stack((-offsets, offsets)).ravel()
+    first = (np.cumsum(lens) - lens)[pos_passage]  # the passage's first position
+    near = (np.arange(len(pos_target)) - first)[:, None] + steps  # context positions in the passage
+    valid = (near >= 0) & (near < lens[pos_passage][:, None])
+    near += first[:, None]
+    pair_counts = valid.sum(axis=1, dtype=np.int64)
+    pair_ptr = np.concatenate(([0], np.cumsum(pair_counts)))
+    return pos_passage, pos_target, pair_counts, pos_target[near[valid]], pair_ptr
 
 
 class _Trainer:
@@ -290,6 +247,8 @@ class _Trainer:
         self.seqs = _encode(collection, self.vocab)
         self.seq_lens = np.array([len(s) for s in self.seqs], dtype=np.int64)
         self.passage_ids = collection.ids
+        (self.pos_passage, self.pos_target, self.pair_counts,
+         self.pair_contexts, self.pair_ptr) = _layout(self.seqs, config.window)
         self.cdf = _negative_cdf(self.freqs)
         rng = np.random.default_rng(config.seed)
         v, d = len(self.vocab), config.dim
@@ -304,8 +263,9 @@ class _Trainer:
         self.total_positions = max(1, int(self.seq_lens.sum()) * config.epochs)
         self.positions_done = 0
 
-    def _step(self, batch: _Batch) -> tuple[float, int]:
-        """One work unit, updated position by position.
+    def _step(self, lo: int, hi: int) -> tuple[float, int]:
+        """One work unit, positions [lo, hi) of the layout, updated position
+        by position.
 
         A position's rows into C are, in pv modes, the observed word and k
         negatives, scored against the passage representation, then its n
@@ -321,8 +281,9 @@ class _Trainer:
         corrupted = cfg.mode == "pv_hdc_corrupted"
         head = 0 if cfg.mode == "skipgram" else 1  # passage-side pairs per position
         head_rows = head * (1 + k)
-        counts = batch.pair_counts
-        n_pos = len(counts)
+        pos_passage, pos_target = self.pos_passage[lo:hi], self.pos_target[lo:hi]
+        counts = self.pair_counts[lo:hi]
+        n_pos = hi - lo
         pairs = counts + head
         ends = np.cumsum(pairs * (1 + k))
         starts = ends - pairs * (1 + k)
@@ -330,11 +291,11 @@ class _Trainer:
         # the random stream, position by position: the corruption mask over
         # the passage's words (corrupted mode), then k negatives per pair
         if corrupted:
-            lens = self.seq_lens[batch.pos_passage]
+            lens = self.seq_lens[pos_passage]
             is_neg = np.repeat(np.tile([False, True], n_pos), np.column_stack((lens, pairs * k)).ravel())
             draws = self.rng.random(len(is_neg))
             keep = draws[~is_neg] < (1.0 - q)
-            kept = np.concatenate([self.seqs[pi] for pi in batch.pos_passage])[keep]
+            kept = np.concatenate([self.seqs[pi] for pi in pos_passage])[keep]
             kept_bounds = np.concatenate(([0], np.cumsum(keep)[np.cumsum(lens) - 1])).tolist()
             rep_scale = (1.0 / ((1.0 - q) * lens)).tolist()
             draws = draws[is_neg]
@@ -345,10 +306,10 @@ class _Trainer:
         y = np.zeros(len(rows))
         ctx_slots = np.repeat(starts + head_rows - (np.cumsum(counts) - counts), counts)
         ctx_slots += np.arange(len(ctx_slots))
-        rows[ctx_slots] = batch.pair_contexts
+        rows[ctx_slots] = self.pair_contexts[self.pair_ptr[lo]:self.pair_ptr[hi]]
         y[ctx_slots] = 1.0
         if head:
-            rows[starts] = batch.pos_target
+            rows[starts] = pos_target
             y[starts] = 1.0
         rows[y == 0.0] = np.searchsorted(self.cdf, draws, side="right")
         row_starts = rows * d  # each row's first element in C.reshape(-1)
@@ -362,7 +323,7 @@ class _Trainer:
         scores = np.empty(len(rows))
         zero = np.zeros(d)
         for i, (a, b, wt, pi, neg_lr) in enumerate(zip(
-            starts.tolist(), ends.tolist(), batch.pos_target.tolist(), batch.pos_passage.tolist(),
+            starts.tolist(), ends.tolist(), pos_target.tolist(), pos_passage.tolist(),
             (-lrs).tolist(),
         )):
             if a == b:
@@ -390,10 +351,11 @@ class _Trainer:
 
     def run(self) -> None:
         cfg = self.config
+        n_positions = len(self.pos_target)
         for _ in range(cfg.epochs):
             total, count = 0.0, 0
-            for batch in _iter_batches(self.seqs, cfg.window, cfg.batch_size):
-                loss, n = self._step(batch)
+            for lo in range(0, n_positions, cfg.batch_size):
+                loss, n = self._step(lo, min(lo + cfg.batch_size, n_positions))
                 total += loss
                 count += n
             self.epoch_losses.append(total / max(count, 1))

@@ -98,6 +98,8 @@ def fisher_randomization(
         raise ValueError("no topics to compare")
     if method not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown method {method!r}")
+    if permutations < 1:
+        raise ValueError(f"permutations must be >= 1, got {permutations}")
     topics = sorted(a)
     d = np.array([a[t] - b[t] for t in topics], dtype=np.float64)
     if method == "exhaustive" or (method == "auto" and len(d) <= EXHAUSTIVE_LIMIT):
@@ -155,6 +157,8 @@ def grid_points(grid: Mapping[str, Sequence]) -> list[dict]:
 
 
 def assign_folds(query_ids: Sequence[str], folds: int, seed: int) -> list[list[str]]:
+    if folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     if len(query_ids) < folds:
         raise ValueError(f"need at least {folds} queries for {folds}-fold cross-validation")
     rng = np.random.default_rng(seed)

@@ -30,12 +30,6 @@ from .index import Index, TermVector, collection_prob, query_counts, tfidf_vecto
 
 logger = logging.getLogger(__name__)
 
-M_GRID = (10, 20, 30, 40, 50)
-ALPHA_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-SIGMOID_A_GRID = (1.0, 5.0, 10.0, 20.0, 50.0)
-SIGMOID_C_GRID = tuple(round(0.1 * i, 1) for i in range(10))
-LAMBDA_ERM_GRID = tuple(round(0.1 * i, 1) for i in range(11))
-
 # Weighted term distribution; probabilities >= 0, sum to 1 within 1e-9.
 QueryModel = dict[str, float]
 

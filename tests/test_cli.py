@@ -113,6 +113,18 @@ class TestRunIrf:
         cfg = experiment_config(synth_dir, tmp_path / "out", schema_version=99)
         assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
 
+    def test_folds_below_two_or_not_integer_exit_2(self, synth_dir, tmp_path, capsys):
+        # one fold leaves every training set empty, so the grid choice
+        # would be the first point whatever the scores
+        for folds in (1, 0, -3, 2.5, True, "4"):
+            out_dir = tmp_path / "out"
+            cfg = experiment_config(synth_dir, out_dir)
+            cfg["retrieval"]["mu_grid"] = [30.0, 300.0]
+            cfg["evaluation"]["folds"] = folds
+            assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
+            assert "evaluation.folds" in capsys.readouterr().err
+            assert not (out_dir / "chosen_params_rm3_2x2.json").exists()
+
     def test_cv_grid_writes_chosen_params(self, synth_dir, tmp_path):
         out_dir = tmp_path / "out"
         cfg = experiment_config(synth_dir, out_dir)
@@ -258,6 +270,22 @@ class TestEvalAndSignificance:
         assert run_cli("significance", "--run-a", str(run_a), "--run-b", str(run_a),
                        "--qrels", str(qrels)) == 0
         assert "p-value: 1.000000" in capsys.readouterr().out
+
+    def test_significance_permutations_below_one_exit_2(self, tmp_path, capsys):
+        # 25 topics: above the exhaustive limit, so the sampled path runs
+        topics = [f"q{i:02d}" for i in range(25)]
+        run_a, run_b, qrels = tmp_path / "a.run", tmp_path / "b.run", tmp_path / "qrels.txt"
+        run_a.write_text("".join(f"{q} Q0 p1 1 2.0 a\n{q} Q0 p2 2 1.0 a\n" for q in topics))
+        run_b.write_text("".join(f"{q} Q0 p2 1 2.0 b\n{q} Q0 p1 2 1.0 b\n" for q in topics))
+        qrels.write_text("".join(f"{q} 0 p{1 + i % 2} 1\n" for i, q in enumerate(topics)))
+        args = ("significance", "--run-a", str(run_a), "--run-b", str(run_b), "--qrels", str(qrels))
+        for permutations in ("-2", "-1", "0"):
+            assert run_cli(*args, "--permutations", permutations) == 2
+            captured = capsys.readouterr()
+            assert "p-value" not in captured.out
+            assert "--permutations must be >= 1" in captured.err
+        assert run_cli(*args, "--permutations", "1") == 0
+        assert "p-value:" in capsys.readouterr().out
 
     def test_significance_different_runs(self, run_files, capsys):
         run_a, run_b, qrels = run_files

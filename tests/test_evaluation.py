@@ -161,6 +161,14 @@ class TestFisherRandomization:
         with pytest.raises(ValueError, match="topic sets"):
             fisher_randomization({"q1": 1.0}, {"q2": 1.0})
 
+    def test_permutations_below_one_rejected(self):
+        a = {f"q{i}": float(i) for i in range(25)}
+        b = {f"q{i}": 0.0 for i in range(25)}
+        for method in ("auto", "sampled", "exhaustive"):
+            for permutations in (0, -1, -2):
+                with pytest.raises(ValueError, match="permutations must be >= 1"):
+                    fisher_randomization(a, b, permutations=permutations, method=method)
+
     def test_monte_carlo_path_in_unit_range(self, rng):
         n = 25  # above the exhaustive limit
         a = {f"q{i}": float(rng.random()) for i in range(n)}
@@ -186,6 +194,12 @@ class TestCrossValidation:
         b = assign_folds(ids, 5, seed=2)
         assert a == b
         assert sorted(q for fold in a for q in fold) == sorted(ids)
+
+    def test_fewer_than_two_folds_rejected(self):
+        ids = [f"q{i}" for i in range(6)]
+        for folds in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least 2 folds"):
+                assign_folds(ids, folds, seed=0)
 
     def test_too_few_queries_rejected(self):
         with pytest.raises(ValueError):
