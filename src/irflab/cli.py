@@ -3,9 +3,9 @@
 Commands: gen-synth, train-embeddings, run-irf, run-onerel, eval,
 significance. Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error. Every command that takes a seed is reproducible
-byte-for-byte. Only run-irf reads --threads and --deterministic, to size
-its per-query session pool; the other commands accept --deterministic and
---threads 1 and exit 2 on --threads above 1.
+byte-for-byte. Every command runs single-threaded and is deterministic:
+--threads 1 and --deterministic are accepted and change nothing, and
+--threads above 1 exits 2.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="run-irf only: number of query sessions run in parallel; "
-                             "other commands run single-threaded and reject values above 1")
+                        help="accepted for compatibility: irflab runs single-threaded and exits 2 above 1")
     parser.add_argument("--deterministic", action="store_true",
-                        help="run-irf: force one session at a time")
+                        help="accepted for compatibility: every run is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,10 +105,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _threads(args) -> int:
-    return 1 if args.deterministic else max(1, args.threads)
-
-
 def _cmd_gen_synth(args) -> int:
     cfg = _load_config(args)
     gen = GeneratorConfig(
@@ -149,7 +144,7 @@ def _cmd_train_embeddings(args) -> int:
 
 
 def _cmd_run_irf(args) -> int:
-    summary = irf_experiment(_load_config(args), threads=_threads(args))
+    summary = irf_experiment(_load_config(args))
     columns = list(next(iter(summary.values())))
     print(format_table(summary, columns, "mean MAP@100 of freezing rank lists"))
     return 0
@@ -197,8 +192,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads > 1 and args.command != "run-irf":
-        print(f"error: only run-irf reads --threads; {args.command} runs single-threaded", file=sys.stderr)
+    if args.threads > 1:
+        print(f"error: --threads {args.threads}: irflab runs single-threaded", file=sys.stderr)
         return 2
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -94,10 +94,8 @@ class EmbeddingModel:
         self._memo: dict = {}
 
     def cached(self, key, build):
-        """build()'s value, computed once per key and kept on the model.
-
-        A value is stored only when fully built, so concurrent callers can
-        at worst both build it; callers must not modify it."""
+        """build()'s value, computed once per key and kept on the model;
+        callers must not modify it."""
         value = self._memo.get(key)
         if value is None:
             value = build()

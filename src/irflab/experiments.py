@@ -4,7 +4,12 @@ run-irf: per feedback method and per (per_iter x iterations) setting, drive
 a session for every query, evaluate the freezing ranking, optionally tune
 any configured parameter grids with seeded k-fold cross-validation, and
 emit TREC runs, session traces, per-query CSVs, and a summary table (rows
-are methods, columns are iteration settings).
+are methods, columns are iteration settings). The sweep is query-major:
+each query runs every grid point in turn (no grid is a sweep of one point),
+and those sessions share one memo of session steps, so a ranking, estimate
+or fusion that several points reach with the same inputs is computed once.
+The memo lives for one (setting, query) pair, which keeps its memory to one
+query's steps.
 
 run-onerel: per method (including the no-feedback baselines), ten draws per
 query with one fed relevant passage, each (query, draw) pair a topic.
@@ -15,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,6 +43,7 @@ from .evaluation import (
     cross_validate_grid,
     evaluate_ranking,
     fisher_randomization,
+    grid_points,
 )
 from .feedback import query_mle
 from .fusion import FusionConfig
@@ -88,22 +93,6 @@ def load_engine(cfg: dict) -> Engine:
     )
     queries = [q for q in queries if q.tokens]
     return Engine(ctx=ctx, queries=queries, qrels=qrels)
-
-
-def _run_sessions(
-    queries: Sequence[Query],
-    qrels: Judgments,
-    scfg: SessionConfig,
-    ctx: EngineContext,
-    threads: int = 1,
-) -> dict[str, SessionResult]:
-    def one(query: Query) -> tuple[str, SessionResult]:
-        return query.query_id, run_irf_session(query, qrels, scfg, ctx)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(pool.map(one, queries))
-    return dict(one(q) for q in queries)
 
 
 def _frozen_metric(results: Mapping[str, SessionResult], qrels: Judgments, metric: str) -> MetricResult:
@@ -185,7 +174,7 @@ def format_table(rows: Mapping[str, Mapping[str, float]], columns: Sequence[str]
     return "\n".join(lines)
 
 
-def irf_experiment(cfg: dict, threads: int = 1) -> dict[str, dict[str, float]]:
+def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     """Run the full iterative-feedback experiment; returns the summary rows
     {method: {column: mean score}} for the objective metric."""
     engine = load_engine(cfg)
@@ -199,6 +188,7 @@ def irf_experiment(cfg: dict, threads: int = 1) -> dict[str, dict[str, float]]:
     folds = int(cfg.get("evaluation", {}).get("folds", 5))
     seed = int(cfg.get("seed", 0))
     depth = cfg.get("session", {}).get("depth")
+    query_ids = [q.query_id for q in engine.queries]
 
     columns = ["initial"] + [f"{n}x{i}" for n, i in settings]
     summary: dict[str, dict[str, float]] = {}
@@ -211,33 +201,36 @@ def irf_experiment(cfg: dict, threads: int = 1) -> dict[str, dict[str, float]]:
             for q in engine.queries
         }
         row["initial"] = MetricResult.aggregate(objective, init_scores).mean
+        grids = _grids_for_method(cfg, method, fusion)
+        points = grid_points(grids) if grids else [{}]
         for per_iter, iterations in settings:
             tag = f"{method}_{per_iter}x{iterations}"
             scfg = SessionConfig(per_iter=per_iter, iterations=iterations,
                                  rf_method=method, fusion=fusion, depth=depth)
-            grids = _grids_for_method(cfg, method, fusion)
+            sweep: list[tuple[EngineContext, SessionConfig, dict[str, SessionResult]]] = []
+            for point in points:
+                ctx_p, fusion_p = _apply_point(engine.ctx, fusion, point)
+                sweep.append((ctx_p, replace(scfg, fusion=fusion_p), {}))
+            for query in engine.queries:
+                # one memo per (setting, query) holds the repeats across grid
+                # points; a wider one costs memory for few more hits
+                memo: dict = {}
+                for ctx_p, scfg_p, results in sweep:
+                    results[query.query_id] = run_irf_session(query, engine.qrels, scfg_p, ctx_p, memo=memo)
+            by_point = {_point_key(p): results for p, (_, _, results) in zip(points, sweep)}
             if grids:
-                results_cache: dict[tuple, dict[str, SessionResult]] = {}
-
-                def evaluate(point: Mapping) -> dict[str, float]:
-                    key = tuple(sorted(point.items()))
-                    ctx_p, fusion_p = _apply_point(engine.ctx, fusion, point)
-                    results = _run_sessions(engine.queries, engine.qrels,
-                                            replace(scfg, fusion=fusion_p), ctx_p, threads)
-                    results_cache[key] = results
-                    return _frozen_metric(results, engine.qrels, objective).per_query
-
                 chosen, _ = cross_validate_grid(
-                    [q.query_id for q in engine.queries], grids, evaluate, folds=folds, seed=seed)
-                folds_assign = assign_folds([q.query_id for q in engine.queries], folds, seed)
-                results = {}
-                for fold_i, point in enumerate(chosen):
-                    key = tuple(sorted(point.items()))
-                    for qid in folds_assign[fold_i]:
-                        results[qid] = results_cache[key][qid]
+                    query_ids, grids,
+                    lambda point: _frozen_metric(by_point[_point_key(point)], engine.qrels, objective).per_query,
+                    folds=folds, seed=seed)
+                results = {
+                    qid: by_point[_point_key(point)][qid]
+                    for point, fold in zip(chosen, assign_folds(query_ids, folds, seed))
+                    for qid in fold
+                }
                 _write_json(out_dir / f"chosen_params_{tag}.json", chosen)
             else:
-                results = _run_sessions(engine.queries, engine.qrels, scfg, engine.ctx, threads)
+                results = by_point[()]
             rankings = [
                 RankedList(query_id=qid, entries=tuple(
                     (pid, float(len(full) - i)) for i, pid in enumerate(full)))
@@ -253,6 +246,10 @@ def irf_experiment(cfg: dict, threads: int = 1) -> dict[str, dict[str, float]]:
     write_summary_csv(out_dir / f"summary_{objective}.csv", summary, columns)
     logger.info("\n%s", format_table(summary, columns, f"mean {objective} of freezing rank lists"))
     return summary
+
+
+def _point_key(point: Mapping) -> tuple:
+    return tuple(sorted(point.items()))
 
 
 def _write_json(path, obj) -> None:

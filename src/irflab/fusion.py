@@ -32,8 +32,7 @@ from .retrieval import RankedList
 
 logger = logging.getLogger(__name__)
 
-LAMBDA_SF_GRID_WIDE = tuple(float(x) for x in range(5, 45, 5))        # 5 .. 40
-LAMBDA_SF_GRID_NARROW = tuple(round(0.5 * i, 1) for i in range(1, 11))  # 0.5 .. 5
+LAMBDA_SF_GRID_WIDE = tuple(float(x) for x in range(5, 45, 5))  # 5 .. 40
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,17 @@ def semantic_score(
     return cosine(centroid, vec)
 
 
-def _gather(pids: Sequence[str], model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
-    """The passages' vectors, one row each; unrepresentable ones are zero.
-    A passage missing from a pv/pvc model raises ValueError."""
+def _gather(positions: list[int], model: EmbeddingModel, mode: str, collection: PassageCollection, index: Index) -> np.ndarray:
+    """The vectors of the passages at these index positions, one row each;
+    unrepresentable ones are zero. A passage missing from a pv/pvc model
+    raises ValueError."""
     if mode not in ("pv", "pvc"):
-        return np.stack([_vector_or_zero(collection[pid], model, mode, index) for pid in pids])
+        return np.stack([_vector_or_zero(collection[index.ids[i]], model, mode, index) for i in positions])
     rows = model.cached(("pv", index), lambda: model.passage_rows(index.ids))
-    rows = rows[[index.id_to_pos[pid] for pid in pids]]
+    rows = rows[positions]
     missing = np.flatnonzero(rows < 0)
     if len(missing):
-        raise ValueError(f"passage {pids[missing[0]]!r} was not in the training corpus")
+        raise ValueError(f"passage {index.ids[positions[missing[0]]]!r} was not in the training corpus")
     return model.passage_vectors[rows]
 
 
@@ -105,7 +105,8 @@ def fused_rank(
     collection: PassageCollection,
     index: Index,
 ) -> RankedList:
-    """Re-rank the base list by base score + lambda_sf * semantic score.
+    """Re-rank the base list by base score + lambda_sf * semantic score,
+    ties broken by ascending passage_id.
 
     The output contains exactly the base list's passages. With an empty
     relevant pool no semantic evidence exists and the base list is returned
@@ -115,7 +116,9 @@ def fused_rank(
         return base
     pool_size = len(state.relevant_pool)
     pids = base.ids()
-    vectors = _gather(state.relevant_pool + pids, model, cfg.representation_mode, collection, index)
+    id_to_pos = index.id_to_pos
+    positions = [id_to_pos[pid] for pid in state.relevant_pool + pids]
+    vectors = _gather(positions, model, cfg.representation_mode, collection, index)
     centroid = np.zeros(model.dim)
     for vec in vectors[:pool_size]:  # row by row, in pool_centroid's summation order
         centroid += vec
@@ -127,9 +130,10 @@ def fused_rank(
     if cnorm > 0.0:
         ok = norms > 0.0
         sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
-    fused = (np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims).tolist()
-    order = sorted(range(len(pids)), key=lambda i: (-fused[i], pids[i]))
+    fused = np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims
+    order = np.lexsort((index.tie_rank[positions[pool_size:]], -fused)).tolist()
+    scores = fused.tolist()
     return RankedList(
         query_id=base.query_id,
-        entries=tuple((pids[i], fused[i]) for i in order),
+        entries=tuple((pids[i], scores[i]) for i in order),
     )

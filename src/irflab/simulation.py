@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Judgments, PassageCollection, Query
+from .corpus import Judgments, Passage, PassageCollection, Query
 from .embeddings import EmbeddingModel
 from .feedback import (
     ErmParams,
@@ -104,12 +104,26 @@ class SessionResult:
 
 
 class _SessionModel:
-    """Current query model plus the scorer matching the method family."""
+    """Current query model plus the scorer matching the method family.
 
-    def __init__(self, query: Query, method: str, ctx: EngineContext):
+    Every ranking, re-estimate and fusion goes through ``memo``, keyed on
+    exactly the inputs the call reads; a step already taken with the same
+    inputs is looked up, not recomputed. Rankings are frozen and shared;
+    query models and Rocchio vectors come back as dict copies. The keys
+    leave out what the memo's scope holds fixed: the query, the collection,
+    the index and the embedding model. Query models are keyed on their
+    ordered items, because rank_ql sums the terms in that order.
+    """
+
+    def __init__(self, query: Query, method: str, ctx: EngineContext, memo: dict):
+        held = (query, ctx.collection, ctx.index, ctx.embeddings)
+        scope = memo.setdefault("scope", held)
+        if scope[0] != query or any(a is not b for a, b in zip(scope[1:], held[1:])):
+            raise ValueError("a session memo serves one query over one collection, index and embedding model")
         self.query = query
         self.method = method
         self.ctx = ctx
+        self.memo = memo
         if method in LM_METHODS:
             self.kind = "lm"
             self.model = query_mle(query)
@@ -120,40 +134,71 @@ class _SessionModel:
                 raise ValueError(f"query {query.query_id!r} has no indexable tokens")
         self.first_ranking_done = False
 
-    def rank(self, exclude: frozenset[str], depth: int) -> RankedList:
+    def _step(self, key: tuple, compute: Callable[[], object]):
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = compute()
+        return value
+
+    def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None) -> RankedList:
+        """The current model's ranking of the unshown passages, fused with
+        the relevant pool when fusion is on and the pool is not empty."""
         ctx = self.ctx
+        exclude = state.shown
+        qid = self.query.query_id
         if self.kind == "lm":
-            ranked = rank_ql(self.model, ctx.index, ctx.retrieval, depth, exclude, query_id=self.query.query_id)
+            model = self.model
+            key = ("ql", tuple(model.items()), ctx.retrieval, depth, exclude)
+            ranked = self._step(key, lambda: rank_ql(model, ctx.index, ctx.retrieval, depth, exclude, query_id=qid))
         elif not self.first_ranking_done:
-            ranked = rank_bm25(self.query, ctx.index, ctx.retrieval, depth, exclude)
+            key = ("bm25", ctx.retrieval, depth, exclude)
+            ranked = self._step(key, lambda: rank_bm25(self.query, ctx.index, ctx.retrieval, depth, exclude))
         else:
-            ranked = rank_rocchio(self.vec, ctx.index, depth, exclude, query_id=self.query.query_id)
-        return ranked
+            vec = self.vec
+            key = ("rocchio", tuple(vec.items()), depth, exclude)
+            ranked = self._step(key, lambda: rank_rocchio(vec, ctx.index, depth, exclude, query_id=qid))
+        if fusion is None or not state.relevant_pool:
+            return ranked
+        if ctx.embeddings is None:
+            raise ValueError("fusion requires an embedding model in the context")
+        return self._step(
+            ("fused", key, state.relevant_pool, fusion),
+            lambda: fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index),
+        )
 
     def reestimate(self, state: FeedbackState) -> None:
         ctx = self.ctx
-        rel = [ctx.collection[pid] for pid in state.relevant_pool]
-        nonrel = [ctx.collection[pid] for pid in state.nonrelevant_pool]
+        rel, nonrel = state.relevant_pool, state.nonrelevant_pool
+        fb, mu = ctx.feedback, ctx.retrieval.mu
+
+        def passages(pids: tuple[str, ...]) -> list[Passage]:
+            return [ctx.collection[pid] for pid in pids]
+
         self.first_ranking_done = True
         if self.method == "rocchio":
-            self.vec = rocchio_update(query_tfidf(self.query, ctx.index), rel, nonrel, ctx.index, ctx.feedback)
+            self.vec = dict(self._step(("rocchio_update", rel, nonrel, fb), lambda: rocchio_update(
+                query_tfidf(self.query, ctx.index), passages(rel), passages(nonrel), ctx.index, fb)))
             return
         if not rel:
             # No positive evidence yet: keep the maximum-likelihood query model.
             self.model = query_mle(self.query)
             return
         if self.method == "rm3":
-            self.model = estimate_rm3(self.query, rel, ctx.index, ctx.feedback, mu=ctx.retrieval.mu)
+            key = ("rm3", rel, fb, mu)
+            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu)
         elif self.method == "distillation":
-            self.model = estimate_distillation(self.query, rel, nonrel, ctx.index, ctx.feedback)
+            key = ("distillation", rel, nonrel, fb)
+            compute = lambda: estimate_distillation(
+                self.query, passages(rel), passages(nonrel), ctx.index, fb)
         elif self.method == "erm":
             if ctx.erm is None or ctx.embeddings is None:
                 raise ValueError("erm sessions need ErmParams and an embedding model in the context")
-            self.model = estimate_erm(
-                self.query, rel, ctx.index, ctx.embeddings, ctx.feedback, ctx.erm, mu=ctx.retrieval.mu
-            )
+            key = ("erm", rel, fb, ctx.erm, mu)
+            compute = lambda: estimate_erm(
+                self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu)
         else:
             raise ValueError(f"unknown method {self.method!r}")
+        self.model = dict(self._step(key, compute))
 
     def model_summary(self) -> dict:
         weights = self.model if self.kind == "lm" else self.vec
@@ -161,25 +206,29 @@ class _SessionModel:
         return {t: round(w, 6) for t, w in top}
 
 
-def _maybe_fuse(ranked: RankedList, state: FeedbackState, cfg: SessionConfig, ctx: EngineContext) -> RankedList:
-    if cfg.fusion is None or not state.relevant_pool:
-        return ranked
-    if ctx.embeddings is None:
-        raise ValueError("fusion requires an embedding model in the context")
-    return fused_rank(ranked, state, ctx.embeddings, cfg.fusion, ctx.collection, ctx.index)
+def run_irf_session(
+    query: Query,
+    qrels: Judgments,
+    cfg: SessionConfig,
+    ctx: EngineContext,
+    memo: dict | None = None,
+) -> SessionResult:
+    """Drive one simulated session; judgments come from the qrels' true labels.
 
-
-def run_irf_session(query: Query, qrels: Judgments, cfg: SessionConfig, ctx: EngineContext) -> SessionResult:
-    """Drive one simulated session; judgments come from the qrels' true labels."""
+    ``memo`` holds the session steps already computed for this query, over
+    this context's collection, index and embedding model; sessions that share
+    it (say, one per grid point) compute each distinct step once. None
+    starts an empty one.
+    """
     state = FeedbackState()
-    model = _SessionModel(query, cfg.rf_method, ctx)
+    model = _SessionModel(query, cfg.rf_method, ctx, {} if memo is None else memo)
     blocks: list[tuple[str, ...]] = []
     trace: list[dict] = []
     early = False
     for iteration in range(cfg.iterations):
         depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-        ranked = _maybe_fuse(model.rank(state.shown, depth), state, cfg, ctx)
-        block = ranked.ids()[: cfg.per_iter]
+        ranked = model.rank(state, depth, cfg.fusion)
+        block = tuple(pid for pid, _ in ranked.entries[: cfg.per_iter])
         if len(block) < cfg.per_iter:
             early = True
             logger.warning(
@@ -190,7 +239,7 @@ def run_irf_session(query: Query, qrels: Judgments, cfg: SessionConfig, ctx: Eng
             break
         judged = [(pid, qrels.is_relevant(query.query_id, pid)) for pid in block]
         state = update_pools(state, judged)
-        blocks.append(tuple(block))
+        blocks.append(block)
         model.reestimate(state)
         trace.append({
             "iteration": iteration,
@@ -201,7 +250,7 @@ def run_irf_session(query: Query, qrels: Judgments, cfg: SessionConfig, ctx: Eng
         if early:
             break
     depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-    tail = _maybe_fuse(model.rank(state.shown, depth), state, cfg, ctx)
+    tail = model.rank(state, depth, cfg.fusion)
     frozen = FrozenRanking(
         query_id=query.query_id,
         shown_blocks=tuple(blocks),
@@ -243,6 +292,7 @@ def run_one_rel_experiment(
                        query.query_id, len(rel_ids))
         return []
     rng = np.random.default_rng(seed)
+    memo: dict = {}  # draws that feed the same passage share their steps
     out: list[OneRelDraw] = []
     for draw in range(draws):
         fed = rel_ids[int(rng.integers(len(rel_ids)))]
@@ -250,13 +300,9 @@ def run_one_rel_experiment(
         state = update_pools(FeedbackState(), [(fed, True)])
         k = depth if depth is not None else 100 + 1
         if method in RF_METHODS:
-            model = _SessionModel(query, method, ctx)
+            model = _SessionModel(query, method, ctx, memo)
             model.reestimate(state)
-            ranked = model.rank(state.shown, k)
-            if fusion is not None:
-                if ctx.embeddings is None:
-                    raise ValueError("fusion requires an embedding model in the context")
-                ranked = fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index)
+            ranked = model.rank(state, k, fusion)
         elif method == "ql":
             ranked = rank_ql(query_mle(query), ctx.index, ctx.retrieval, k, state.shown, query_id=query.query_id)
         else:

@@ -159,13 +159,13 @@ class TestRunIrf:
                 fusion={"enabled": True, "lambda_sf": 2.0},
             )
         outs = []
-        for sub, extra in (("x", ["--deterministic"]), ("y", ["--deterministic"]),
-                           ("z", ["--threads", "2"])):
+        for sub in ("x", "y"):
             files = {}
             for name, overrides in variants.items():
                 out_dir = tmp_path / sub / name
                 cfg = experiment_config(synth_dir, out_dir, **overrides)
-                code = run_cli("run-irf", "--config", write_config(tmp_path / f"{sub}-{name}.json", cfg), *extra)
+                code = run_cli("run-irf", "--config", write_config(tmp_path / f"{sub}-{name}.json", cfg),
+                               "--deterministic")
                 assert code == 0
                 files.update({(name, p.name): p.read_bytes() for p in out_dir.glob("run_irf_*.txt")})
             outs.append(files)
@@ -173,24 +173,28 @@ class TestRunIrf:
                                    ("plain", "run_irf_rm3_2x2.txt"),
                                    ("pvc", "run_irf_erm_2x2.txt"), ("pvc", "run_irf_rm3_2x2.txt")]
         assert outs[0] == outs[1]
-        # sessions are pure per query and the shared caches hold only fully
-        # built values, so threading does not change results
-        assert outs[0] == outs[2]
+        # run-irf has no session pool: more than one thread is refused
+        out_dir = tmp_path / "z"
+        cfg = experiment_config(synth_dir, out_dir, **variants["pvc"])
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "z.json", cfg), "--threads", "2") == 2
+        assert not out_dir.exists()
 
 
 class TestThreadsFlag:
-    def test_threads_above_one_rejected_outside_run_irf(self, tmp_path, capsys):
+    def test_threads_above_one_rejected_on_every_command(self, tmp_path, capsys):
         commands = (
             ["gen-synth", "--output-dir", str(tmp_path / "synth")],
             ["train-embeddings", "--corpus", "c.jsonl", "--mode", "pvc", "--out", str(tmp_path / "m.emb")],
+            ["run-irf", "--config", "cfg.json", "--output-dir", str(tmp_path / "irf")],
             ["run-onerel", "--config", "cfg.json"],
             ["eval", "--run", "a.txt", "--qrels", "q.txt"],
             ["significance", "--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "q.txt"],
         )
         for argv in commands:
             assert run_cli(*argv, "--threads", "2") == 2
-            assert f"only run-irf reads --threads; {argv[0]} runs single-threaded" in capsys.readouterr().err
+            assert "--threads 2: irflab runs single-threaded" in capsys.readouterr().err
         assert not (tmp_path / "synth").exists()
+        assert not (tmp_path / "irf").exists()
 
     def test_threads_one_and_deterministic_accepted_everywhere(self, tmp_path):
         out = tmp_path / "synth"
