@@ -135,5 +135,5 @@ def fused_rank(
     scores = fused.tolist()
     return RankedList(
         query_id=base.query_id,
-        entries=tuple((pids[i], scores[i]) for i in order),
+        entries=tuple([(pids[i], scores[i]) for i in order]),
     )

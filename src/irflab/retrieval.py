@@ -31,7 +31,7 @@ from typing import AbstractSet, Iterable, Mapping
 import numpy as np
 
 from .corpus import Query
-from .index import Index, TermVector, collection_prob, idf, query_counts
+from .index import Index, TermVector, idf, query_counts
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class RankedList:
         return iter(self.entries)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.entries)
+        return tuple([pid for pid, _ in self.entries])
 
 
 def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth: int, query_id: str) -> RankedList:
@@ -115,8 +115,13 @@ def rank_ql(
     """Score passages by sum_w P(w|Q) * ln[(tf + mu p(w|C)) / (|d| + mu)].
 
     Expects a normalized query model (weights >= 0 summing to 1). Terms
-    absent from the collection (p(w|C) = 0) are skipped with a warning and
-    leave the remaining weights untouched.
+    absent from the collection (p(w|C) = 0) are skipped with a warning, on
+    every call, and leave the remaining weights untouched.
+
+    Each term's logs come from ``Index.ql_term``, computed on the first
+    call that scores the (term, mu) pair and kept on the index: 8 bytes per
+    posting per distinct mu. A call adds ``weight`` times them, so its
+    scores are bit for bit those of taking the logs afresh.
     """
     if not query_model:
         raise ValueError("empty query model")
@@ -125,15 +130,14 @@ def rank_ql(
     kept_weight = 0.0
     const = 0.0
     for term, weight in query_model.items():
-        p_c = collection_prob(index, term)
-        if p_c == 0.0:
+        entry = index.ql_term(term, mu)
+        if entry is None:
             logger.warning("query term %r unseen in collection; skipped", term)
             continue
+        log_smooth, positions, ratio = entry
         kept_weight += weight
-        log_smooth = np.log(mu * p_c)
         const += weight * log_smooth
-        positions, tfs = index.postings[term]
-        scores[positions] += weight * (np.log(tfs + mu * p_c) - log_smooth)
+        scores[positions] += weight * ratio
     scores += const - kept_weight * index.log_len_plus(mu)
     return _take_top(index, scores, exclude, depth, query_id)
 

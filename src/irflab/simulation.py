@@ -109,10 +109,11 @@ class _SessionModel:
     Every ranking, re-estimate and fusion goes through ``memo``, keyed on
     exactly the inputs the call reads; a step already taken with the same
     inputs is looked up, not recomputed. Rankings are frozen and shared;
-    query models and Rocchio vectors come back as dict copies. The keys
-    leave out what the memo's scope holds fixed: the query, the collection,
-    the index and the embedding model. Query models are keyed on their
-    ordered items, because rank_ql sums the terms in that order.
+    query models, Rocchio vectors and trace summaries come back as dict
+    copies. The keys leave out what the memo's scope holds fixed: the
+    query, the collection, the index and the embedding model. Query models
+    are keyed on their ordered items, because rank_ql sums the terms in
+    that order.
     """
 
     def __init__(self, query: Query, method: str, ctx: EngineContext, memo: dict):
@@ -201,9 +202,16 @@ class _SessionModel:
         self.model = dict(self._step(key, compute))
 
     def model_summary(self) -> dict:
-        weights = self.model if self.kind == "lm" else self.vec
-        top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        return {t: round(w, 6) for t, w in top}
+        """The current model's ten heaviest terms (ties by term) with their
+        weights rounded to 6 places; memoized like the other steps, under
+        the model's ordered items."""
+        items = tuple((self.model if self.kind == "lm" else self.vec).items())
+
+        def summarize() -> dict:
+            top = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:10]
+            return {t: round(w, 6) for t, w in top}
+
+        return dict(self._step(("summary", items), summarize))
 
 
 def run_irf_session(

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irflab import retrieval
 from irflab.corpus import Passage, PassageCollection
 from irflab.index import build_index, collection_prob, tfidf_vector
 from irflab.retrieval import (
@@ -296,6 +298,71 @@ class TestRankingProperties:
             assert len(got) == min(depth, len(ids) - len(exclude & set(ids)))
             for (pid_a, a), (pid_b, b) in zip(ranked.entries, ranked.entries[1:]):
                 assert a > b or (a == b and pid_a < pid_b)
+
+
+def reference_rank_ql(query_model, index, params, depth, exclude=frozenset(), query_id="q"):
+    """Oracle: rank_ql taking every term's logs afresh on each call."""
+    mu = params.mu
+    scores = np.zeros(index.passage_count, dtype=np.float64)
+    kept_weight = 0.0
+    const = 0.0
+    for term, weight in query_model.items():
+        p_c = collection_prob(index, term)
+        if p_c == 0.0:
+            continue
+        kept_weight += weight
+        log_smooth = np.log(mu * p_c)
+        const += weight * log_smooth
+        positions, tfs = index.postings[term]
+        scores[positions] += weight * (np.log(tfs + mu * p_c) - log_smooth)
+    scores += const - kept_weight * np.log(index.doc_len + mu)
+    return _take_top(index, scores, exclude, depth, query_id)
+
+
+@st.composite
+def cached_ql_cases(draw):
+    """A collection, two or three mus and query models over seen and unseen
+    terms ("f", "g" never occur), each scored at every mu on one index."""
+    lists = draw(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), min_size=1, max_size=30))
+    order = draw(st.permutations(range(len(lists))))
+    mus = draw(st.lists(st.sampled_from(MU_GRID) | st.floats(0.1, 5000.0), min_size=2, max_size=3, unique=True))
+    weights = st.dictionaries(st.sampled_from("abcdefg"), st.floats(0.01, 1.0), min_size=1, max_size=5)
+    models = [{t: w / sum(m.values()) for t, w in m.items()} for m in draw(st.lists(weights, min_size=1, max_size=4))]
+    ids = [f"d{k:02d}" for k in order]
+    calls = [(draw(st.sets(st.sampled_from(ids + ["x1"]))), draw(st.integers(1, len(lists) + 3)))
+             for _ in models]
+    return shuffled_collection(lists, order), mus, models, calls
+
+
+class TestCachedQL:
+    @settings(max_examples=200, deadline=None)
+    @given(cached_ql_cases())
+    def test_rank_ql_equals_per_call_logs(self, case):
+        coll, mus, models, calls = case
+        idx = build_index(coll)
+        # twice over, so the second round reads every (term, mu) from the cache
+        for _ in range(2):
+            for model, (exclude, depth) in zip(models, calls):
+                for mu in mus:
+                    params = RetrievalParams(mu=mu)
+                    with mock.patch.object(retrieval.logger, "warning") as warn:
+                        got = rank_ql(model, idx, params, depth, exclude)
+                    ref = reference_rank_ql(model, idx, params, depth, exclude)
+                    assert [(pid, repr(s)) for pid, s in got.entries] == [(pid, repr(s)) for pid, s in ref.entries]
+                    # every call warns once per unseen term
+                    assert warn.call_count == sum(t not in idx for t in model)
+        for model in models:
+            for term in model:
+                for mu in mus:
+                    entry = idx.ql_term(term, mu)
+                    if term not in idx:
+                        assert entry is None
+                        continue
+                    _, positions, ratio = entry
+                    with pytest.raises(ValueError):
+                        ratio[0] = 0.0
+                    with pytest.raises(ValueError):
+                        positions[0] = 0
 
 
 class TestRunFiles:

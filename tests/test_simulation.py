@@ -1,5 +1,6 @@
 """Session mechanics, freezing construction, and the one-feedback experiment."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from irflab.simulation import (
     BUDGET_SETTINGS,
     EngineContext,
     SessionConfig,
+    _SessionModel,
     freeze_ranking,
     run_irf_session,
     run_one_rel_experiment,
@@ -139,6 +141,44 @@ class TestSessionBasics:
     def test_budget_settings_cover_protocol(self):
         assert BUDGET_SETTINGS == ((10, 1), (5, 2), (2, 5), (1, 10))
         assert all(n * i == 10 for n, i in BUDGET_SETTINGS)
+
+
+def sorted_summary(weights):
+    """Reference trace summary: the full sort, cut to ten."""
+    top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    return {t: round(w, 6) for t, w in top}
+
+
+class TestTraceSummaries:
+    @pytest.mark.parametrize("method", ["rm3", "rocchio"])
+    def test_memoized_summaries_equal_sorted_summaries(self, method, rng, monkeypatch):
+        ctx, query, qrels = planted_context(rng, n_passages=60, vocab=30, n_relevant=6)
+        ctx = dataclasses.replace(ctx, feedback=FeedbackParams(m=20))  # models of more than ten terms
+        cfg = SessionConfig(per_iter=1, iterations=10, rf_method=method)
+        memo: dict = {}
+        first = run_irf_session(query, qrels, cfg, ctx, memo)
+        again = run_irf_session(query, qrels, cfg, ctx, memo)  # every summary a memo hit
+        first.trace[0]["model"]["mutated"] = 1.0  # summaries come back as copies
+        assert all("mutated" not in v for k, v in memo.items() if k[0] == "summary")
+        first.trace[0]["model"].pop("mutated")
+
+        sizes = []
+
+        def fresh(self):
+            weights = self.model if self.kind == "lm" else self.vec
+            sizes.append(len(weights))
+            return sorted_summary(weights)
+
+        monkeypatch.setattr(_SessionModel, "model_summary", fresh)
+        reference = run_irf_session(query, qrels, cfg, ctx)
+        assert first.trace == reference.trace
+        assert again.trace == reference.trace
+        rows = [row["model"] for row in reference.trace]
+        assert max(sizes) > 10
+        assert len(rows[-1]) == 10
+        if method == "rm3":
+            # a non-relevant judgment keeps the rm3 model: its summary is a memo hit
+            assert any(a == b for a, b in zip(rows, rows[1:]))
 
 
 class TestSessionInvariants:
