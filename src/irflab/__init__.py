@@ -40,7 +40,7 @@ from .feedback import (
     rocchio_update,
     update_pools,
 )
-from .fusion import FusionConfig, fused_rank, semantic_score
+from .fusion import FusionConfig, fused_rank
 from .index import Index, build_index, collection_prob, tfidf_vector
 from .retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio, read_run, write_run
 from .simulation import (
@@ -65,6 +65,5 @@ __all__ = [
     "ingest_corpus", "load_model", "load_qrels", "load_queries", "passage_vector",
     "query_mle", "rank_bm25", "rank_ql", "rank_rocchio", "read_run", "rocchio_update",
     "run_irf_session", "run_one_rel_experiment", "save_model", "segment_document",
-    "semantic_score", "tfidf_vector", "tokenize", "train_pv_hdc", "train_skipgram",
-    "update_pools", "write_run",
+    "tfidf_vector", "tokenize", "train_pv_hdc", "train_skipgram", "update_pools", "write_run",
 ]

@@ -67,18 +67,6 @@ class MetricResult:
         return cls(metric_name=metric_name, per_query=per_query, mean=mean)
 
 
-def evaluate_rankings(
-    rankings: Mapping[str, Sequence[str]],
-    relevant_by_topic: Mapping[str, AbstractSet[str]],
-    metric: str,
-) -> MetricResult:
-    per_query = {
-        topic: evaluate_ranking(ranking, relevant_by_topic.get(topic, frozenset()), metric)
-        for topic, ranking in rankings.items()
-    }
-    return MetricResult.aggregate(metric, per_query)
-
-
 def fisher_randomization(
     a: Mapping[str, float],
     b: Mapping[str, float],

@@ -202,19 +202,23 @@ def _mixture_em(
     pc = np.array([p_corpus.get(t, 0.0) for t in terms])
     pn = np.array([theta_nr.get(t, 0.0) for t in terms])
     f = 1.0 - lambda_mix - lambda_nr
+    corpus_part = lambda_mix * pc
+    nr_part = lambda_nr * pn
     theta = np.full(len(terms), 1.0 / len(terms))
     prev_ll = None
     for _ in range(max_iters):
-        mix = f * theta + lambda_mix * pc + lambda_nr * pn
-        ll = float(np.sum(c * np.log(mix)))
+        topic_part = f * theta
+        mix = topic_part + corpus_part
+        mix += nr_part
+        ll = float((c * np.log(mix)).sum())
         if prev_ll is not None:
             if not ll - prev_ll >= -1e-9:
                 raise RuntimeError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
             if ll - prev_ll < tol:
                 break
         prev_ll = ll
-        resp = f * theta / mix
-        theta = c * resp
+        topic_part /= mix  # the responsibilities of the topic
+        theta = c * topic_part
         theta /= theta.sum()
     return dict(zip(terms, theta.tolist()))
 
@@ -378,11 +382,3 @@ def estimate_erm(
     relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
     return _interpolate(query_mle(query), relevance_model, params.alpha_interp)
 
-
-def check_query_model(model: QueryModel, tol: float = 1e-9) -> None:
-    """Raise if the model violates the distribution invariants."""
-    if any(w < 0 for w in model.values()):
-        raise ValueError("query model has negative weights")
-    total = sum(model.values())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"query model sums to {total}, expected 1 within {tol}")

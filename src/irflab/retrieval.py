@@ -20,6 +20,11 @@ k + e entries of the full sort. Dropping the excluded passages among them
 and cutting to k gives the ranking. NaN scores sort last and never reach
 the cut. The full sort is used when k + e >= n and when the cut score is
 not finite: an infinite score, or fewer than k + e scores that are not NaN.
+
+A ranking stays in index positions: a RankedList holds the positions it
+ranks and their scores as two arrays, and fused_rank re-ranks those arrays.
+Passage ids and (passage_id, score) entries are built only when read, for
+a shown block, a tail or a run file.
 """
 
 from __future__ import annotations
@@ -54,30 +59,109 @@ class RetrievalParams:
             raise ValueError("b must be in [0, 1]")
 
 
-@dataclass(frozen=True)
 class RankedList:
-    """Descending-score ranking of passages for one query."""
+    """Descending-score ranking of passages for one query.
 
-    query_id: str
-    entries: tuple[tuple[str, float], ...]
+    A list made by a ranker or by fused_rank holds two read-only arrays,
+    ``positions`` (int64 index positions) and ``scores`` (float64), plus the
+    ranked index's ``ids`` tuple as ``index_ids``. ``entries`` (the
+    (passage_id, score) pairs) and ``ids()`` are derived from them on first
+    read and cached. ``RankedList(query_id=..., entries=...)`` builds a list
+    from entries; it has no positions, so fused_rank refuses it. Lists
+    compare and hash by (query_id, entries), however they were built.
+    """
+
+    __slots__ = ("query_id", "positions", "scores", "index_ids", "_entries", "_ids")
+
+    def __init__(self, query_id: str, entries: Iterable[tuple[str, float]]):
+        _set = object.__setattr__
+        _set(self, "query_id", query_id)
+        _set(self, "positions", None)
+        _set(self, "scores", None)
+        _set(self, "index_ids", None)
+        _set(self, "_entries", tuple(entries))
+        _set(self, "_ids", None)
+
+    @classmethod
+    def at_positions(cls, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray,
+                     scores: np.ndarray) -> "RankedList":
+        """The list of these index positions with these scores, in order; both
+        arrays are made read-only, not copied."""
+        positions.setflags(write=False)
+        scores.setflags(write=False)
+        ranked = cls.__new__(cls)
+        _set = object.__setattr__
+        _set(ranked, "query_id", query_id)
+        _set(ranked, "positions", positions)
+        _set(ranked, "scores", scores)
+        _set(ranked, "index_ids", index_ids)
+        _set(ranked, "_entries", None)
+        _set(ranked, "_ids", None)
+        return ranked
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankedList is read-only; cannot set {name!r}")
+
+    def __reduce__(self):
+        if self.positions is None:
+            return RankedList, (self.query_id, self._entries)
+        return RankedList.at_positions, (self.query_id, self.index_ids, self.positions, self.scores)
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        entries = self._entries
+        if entries is None:
+            entries = tuple(zip(self.ids(), self.scores.tolist()))
+            object.__setattr__(self, "_entries", entries)
+        return entries
+
+    def ids(self) -> tuple[str, ...]:
+        ids = self._ids
+        if ids is None:
+            ids = self.head(len(self))
+            object.__setattr__(self, "_ids", ids)
+        return ids
+
+    def head(self, n: int) -> tuple[str, ...]:
+        """The first n passage ids, read without building the rest."""
+        if self._ids is not None:
+            return self._ids[:n]
+        if self.positions is None:
+            return tuple([pid for pid, _ in self._entries[:n]])
+        index_ids = self.index_ids
+        return tuple([index_ids[i] for i in self.positions[:n].tolist()])
+
+    def relabel(self, query_id: str) -> "RankedList":
+        """The same ranking under another query id, sharing the arrays."""
+        if self.positions is None:
+            return RankedList(query_id, self._entries)
+        return RankedList.at_positions(query_id, self.index_ids, self.positions, self.scores)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries) if self.positions is None else len(self.positions)
 
     def __iter__(self):
         return iter(self.entries)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple([pid for pid, _ in self.entries])
+    def __eq__(self, other):
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return self.query_id == other.query_id and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.query_id, self.entries))
+
+    def __repr__(self) -> str:
+        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
 
 def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth: int, query_id: str) -> RankedList:
     """The first depth entries of the (-score, passage_id asc) order over the
-    passages not excluded."""
+    passages not excluded, as a list of index positions and their scores."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     id_to_pos = index.id_to_pos
-    excluded = {id_to_pos[pid] for pid in exclude if pid in id_to_pos}
+    excluded = [id_to_pos[pid] for pid in exclude if pid in id_to_pos]
     n = index.passage_count
     k = depth + len(excluded)
     cand = None
@@ -96,12 +180,12 @@ def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth
         cand = np.arange(n)
     order = np.lexsort((index.tie_rank[cand], -scores[cand]))
     # the first k of the order hold every passage of the answer
-    top = cand[order[:k]].tolist()
+    top = cand[order[:k]]
     if excluded:
-        top = [i for i in top if i not in excluded][:depth]
-    ids = index.ids
-    entries = tuple(zip([ids[i] for i in top], scores[top].tolist()))
-    return RankedList(query_id=query_id, entries=entries)
+        keep = np.ones(n, dtype=bool)
+        keep[excluded] = False
+        top = top[keep[top]][:depth]
+    return RankedList.at_positions(query_id, index.ids, top, scores[top])
 
 
 def rank_ql(

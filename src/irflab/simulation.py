@@ -236,7 +236,7 @@ def run_irf_session(
     for iteration in range(cfg.iterations):
         depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
         ranked = model.rank(state, depth, cfg.fusion)
-        block = tuple(pid for pid, _ in ranked.entries[: cfg.per_iter])
+        block = ranked.head(cfg.per_iter)
         if len(block) < cfg.per_iter:
             early = True
             logger.warning(
@@ -318,7 +318,7 @@ def run_one_rel_experiment(
         out.append(OneRelDraw(
             topic_id=topic_id,
             fed_passage=fed,
-            ranking=RankedList(query_id=topic_id, entries=ranked.entries),
+            ranking=ranked.relabel(topic_id),
         ))
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 from irflab.corpus import Passage, PassageCollection, Query, TokenizerConfig
 from irflab.index import build_index
+from irflab.retrieval import RankedList
 
 _ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -39,8 +40,24 @@ def make_collection(token_lists, prefix="p"):
     return PassageCollection(passages)
 
 
+def shuffled_collection(token_lists, order):
+    """Passage i gets id d<order[i]>, so id order differs from position order."""
+    return PassageCollection(
+        Passage(passage_id=f"d{k:02d}", doc_id=f"d{k:02d}", text=" ".join(tokens), tokens=tuple(tokens))
+        for k, tokens in zip(order, token_lists)
+    )
+
+
 def make_query(tokens, qid="q0"):
     return Query(query_id=qid, text=" ".join(tokens), tokens=tuple(tokens))
+
+
+def ranked_over(index, entries, query_id="q0"):
+    """A list over the index with these (passage_id, score) entries, held
+    as a ranker holds it: index positions and scores."""
+    positions = np.array([index.id_to_pos[pid] for pid, _ in entries], dtype=np.int64)
+    scores = np.array([score for _, score in entries], dtype=np.float64)
+    return RankedList.at_positions(query_id, index.ids, positions, scores)
 
 
 def random_token_lists(rng, n_passages, vocab_size, min_len=3, max_len=12):

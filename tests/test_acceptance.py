@@ -37,7 +37,7 @@ from irflab.feedback import (
 )
 from irflab.fusion import FusionConfig, fused_rank
 from irflab.index import build_index
-from irflab.retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio
+from irflab.retrieval import RetrievalParams, rank_bm25, rank_ql, rank_rocchio
 from irflab.simulation import (
     EngineContext,
     SessionConfig,
@@ -47,7 +47,7 @@ from irflab.simulation import (
 )
 from irflab.synthgen import GeneratorConfig, generate
 
-from conftest import make_collection, make_query, random_token_lists, record_acceptance
+from conftest import make_collection, make_query, random_token_lists, ranked_over, record_acceptance
 from test_embeddings import finite_difference, rel_error
 from test_evaluation import oracle_metric
 from test_feedback import brute_force_em, toy_embeddings
@@ -161,8 +161,8 @@ def test_c4_reduction_identities(rng):
 
         base_ids = [p.passage_id for p in coll.passages]
         rng.shuffle(base_ids)
-        base = RankedList(query_id="q", entries=tuple((pid, float(s)) for pid, s in
-                          zip(base_ids, sorted(rng.normal(size=8), reverse=True))))
+        base = ranked_over(idx, tuple((pid, float(s)) for pid, s in
+                           zip(base_ids, sorted(rng.normal(size=8), reverse=True))), query_id="q")
         vecs = rng.normal(size=(8, 4))
         pvmodel = toy_embeddings(rng.normal(size=(6, 4)), terms=[f"t{i}" for i in range(6)])
         pvmodel.passage_vectors = vecs

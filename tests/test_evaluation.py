@@ -11,10 +11,18 @@ from irflab.evaluation import (
     assign_folds,
     cross_validate_grid,
     evaluate_ranking,
-    evaluate_rankings,
     fisher_randomization,
     grid_points,
 )
+
+
+def evaluate_rankings(rankings, relevant_by_topic, metric):
+    """Per-topic scores of a metric over several rankings, aggregated."""
+    per_query = {
+        topic: evaluate_ranking(ranking, relevant_by_topic.get(topic, frozenset()), metric)
+        for topic, ranking in rankings.items()
+    }
+    return MetricResult.aggregate(metric, per_query)
 
 
 def oracle_metric(ranking, relevant, metric):

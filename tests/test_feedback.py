@@ -9,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import irflab
 
 from irflab.corpus import Passage
 from irflab.embeddings import EmbeddingModel
 from irflab.feedback import (
+    _mixture_em,
     ErmParams,
     FeedbackParams,
     FeedbackState,
-    check_query_model,
     estimate_distillation,
     estimate_erm,
     estimate_rm3,
@@ -49,6 +50,55 @@ def brute_force_em(counts, p_corpus, theta_nr, lam_mix, lam_nr, iters):
         total = sum(raw.values())
         theta = {t: raw[t] / total for t in terms}
     return theta
+
+
+def check_query_model(model, tol=1e-9):
+    """Raise if the model violates the distribution invariants."""
+    if any(w < 0 for w in model.values()):
+        raise ValueError("query model has negative weights")
+    total = sum(model.values())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"query model sums to {total}, expected 1 within {tol}")
+
+
+def reference_mixture_em(counts, p_corpus, theta_nr, lambda_mix, lambda_nr, max_iters, tol):
+    """Oracle: the EM loop that builds the whole mixture on every iteration."""
+    terms = sorted(counts)
+    c = np.array([counts[t] for t in terms], dtype=np.float64)
+    pc = np.array([p_corpus.get(t, 0.0) for t in terms])
+    pn = np.array([theta_nr.get(t, 0.0) for t in terms])
+    f = 1.0 - lambda_mix - lambda_nr
+    theta = np.full(len(terms), 1.0 / len(terms))
+    prev_ll = None
+    for _ in range(max_iters):
+        mix = f * theta + lambda_mix * pc + lambda_nr * pn
+        ll = float(np.sum(c * np.log(mix)))
+        if prev_ll is not None:
+            if not ll - prev_ll >= -1e-9:
+                raise RuntimeError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
+            if ll - prev_ll < tol:
+                break
+        prev_ll = ll
+        resp = f * theta / mix
+        theta = c * resp
+        theta /= theta.sum()
+    return dict(zip(terms, theta.tolist()))
+
+
+@st.composite
+def mixture_cases(draw):
+    """Pooled counts over 1-12 terms, a corpus model, a non-relevant topic
+    over some of the terms and mixture weights with a positive topic part."""
+    terms = draw(st.lists(st.sampled_from([f"t{i}" for i in range(15)]), min_size=1, max_size=12, unique=True))
+    counts = {t: draw(st.integers(1, 9)) for t in terms}
+    p_corpus = {t: draw(st.floats(1e-4, 1.0)) for t in terms}
+    nr_terms = draw(st.lists(st.sampled_from(terms), unique=True))
+    raw = {t: draw(st.floats(0.01, 1.0)) for t in nr_terms}
+    theta_nr = {t: w / sum(raw.values()) for t, w in raw.items()}
+    lambda_mix = draw(st.floats(0.0, 0.9))
+    lambda_nr = draw(st.floats(0.0, 0.95 - lambda_mix)) if theta_nr else 0.0
+    return counts, p_corpus, theta_nr, lambda_mix, lambda_nr, draw(st.integers(1, 60)), draw(
+        st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
 
 
 def toy_embeddings(vectors, terms=None):
@@ -241,6 +291,21 @@ class TestDistillation:
             oracle = brute_force_em(counts, p_corpus, {}, lam, 0.0, iters)
             for t, w in oracle.items():
                 assert model[t] == pytest.approx(w, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixture_cases())
+    def test_mixture_em_equals_reference_loop(self, case):
+        # the same floats term by term, and the same error where the loop raises
+        try:
+            expected = reference_mixture_em(*case)
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError, match="EM log-likelihood decreased") as got:
+                _mixture_em(*case)
+            assert str(got.value) == str(err)
+            return
+        got = _mixture_em(*case)
+        assert list(got) == list(expected)
+        assert [repr(w) for w in got.values()] == [repr(w) for w in expected.values()]
 
     def test_em_likelihood_decrease_raises_under_optimize(self):
         # A corpus weight above one gives the topic component a negative

@@ -1,16 +1,75 @@
 """Semantic centroid scoring and score fusion."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irflab.corpus import PassageCollection
-from irflab.embeddings import EmbeddingModel
-from irflab.feedback import FeedbackState, update_pools
-from irflab.fusion import FusionConfig, fused_rank, pool_centroid, semantic_score
+from irflab.embeddings import EmbeddingModel, UnrepresentablePassage, cosine, passage_vector
+from irflab.feedback import FeedbackState, query_mle, update_pools
+from irflab.fusion import FusionConfig, _pv_rows, _vector_or_zero, fused_rank
 from irflab.index import build_index
-from irflab.retrieval import RankedList
+from irflab.retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql
 
-from conftest import make_collection, random_token_lists
+from conftest import make_collection, make_query, random_token_lists, ranked_over, shuffled_collection
+
+logger = logging.getLogger(__name__)
+
+
+def pool_centroid(rel_pool, model, mode, index):
+    """Oracle: mean vector of the relevant pool, each vector computed on its
+    own; unrepresentable members count as zero."""
+    if not rel_pool:
+        raise ValueError("relevant pool is empty")
+    total = np.zeros(model.dim)
+    for passage in rel_pool:
+        total += _vector_or_zero(passage, model, mode, index)
+    return total / len(rel_pool)
+
+
+def semantic_score(rel_pool, candidate, model, mode, index):
+    """Oracle: cosine between the pool centroid and the candidate's
+    representation; 0 when the candidate has no representable tokens."""
+    centroid = pool_centroid(rel_pool, model, mode, index)
+    try:
+        vec = passage_vector(candidate, model, mode, index)
+    except UnrepresentablePassage:
+        logger.warning("candidate %r not representable; semantic score 0", candidate.passage_id)
+        return 0.0
+    return cosine(centroid, vec)
+
+
+def reference_fused_rank(base, state, model, cfg, collection, index):
+    """Oracle: fused_rank over (passage_id, score) entries, as it was before
+    lists kept index positions. It looks every id up in id_to_pos, rebuilds
+    the score array from the entries and builds a new entries tuple."""
+    if not state.relevant_pool:
+        return base.entries
+    pool_size = len(state.relevant_pool)
+    pids = base.ids()
+    positions = [index.id_to_pos[pid] for pid in state.relevant_pool + pids]
+    mode = cfg.representation_mode
+    if mode in ("pv", "pvc"):
+        vectors = model.passage_vectors[model.passage_rows(index.ids)[positions]]
+    else:
+        vectors = np.stack([_vector_or_zero(collection[index.ids[i]], model, mode, index) for i in positions])
+    centroid = np.zeros(model.dim)
+    for vec in vectors[:pool_size]:
+        centroid += vec
+    centroid /= pool_size
+    vectors = vectors[pool_size:]
+    norms = np.linalg.norm(vectors, axis=1)
+    cnorm = np.linalg.norm(centroid)
+    sims = np.zeros(len(pids))
+    if cnorm > 0.0:
+        ok = norms > 0.0
+        sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
+    fused = np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims
+    order = np.lexsort((index.tie_rank[positions[pool_size:]], -fused)).tolist()
+    scores = fused.tolist()
+    return tuple([(pids[i], scores[i]) for i in order])
 
 
 def model_with_passage_vectors(ids, vectors):
@@ -84,7 +143,7 @@ class TestFusedRank:
         idx = build_index(coll)
         vectors = [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5]]
         model = model_with_passage_vectors(coll.ids, vectors)
-        base = RankedList(query_id="q0", entries=(("p001", 3.0), ("p002", 2.0), ("p003", 1.0)))
+        base = ranked_over(idx, (("p001", 3.0), ("p002", 2.0), ("p003", 1.0)))
         state = update_pools(FeedbackState(), [("p000", True)])
         return coll, idx, model, base, state
 
@@ -116,7 +175,7 @@ class TestFusedRank:
         coll = PassageCollection([base_coll[base_coll.ids[i]] for i in rng.permutation(30)])
         idx = build_index(coll)
         model = model_with_passage_vectors(coll.ids, rng.integers(0, 2, size=(30, 3)).astype(float))
-        base = RankedList(query_id="q0", entries=tuple(
+        base = ranked_over(idx, tuple(
             (str(pid), float(rng.integers(0, 3))) for pid in rng.permutation(coll.ids)[:20]))
         state = update_pools(FeedbackState(), [(base.ids()[0], True)])
         for lam in (0.0, 1.0, 2.0):
@@ -158,7 +217,7 @@ class TestFusedRankModes:
                                       [0.5, 0.5, 0.5], [-1.0, 0.2, 0.0]]),
             passage_ids=coll.ids,
         )
-        base = RankedList(query_id="q0", entries=(("p001", 2.0), ("p002", 1.5), ("p003", 1.5), ("p004", 0.5)))
+        base = ranked_over(idx, (("p001", 2.0), ("p002", 1.5), ("p003", 1.5), ("p004", 0.5)))
         return coll, idx, model, base
 
     @pytest.mark.parametrize("mode", ["avg_w2v", "idf_w2v", "pv", "pvc"])
@@ -190,7 +249,7 @@ class TestFusedRankModes:
             assert sum("'p002'" in r.getMessage() for r in caplog.records) == 3
             caplog.clear()
             # without p002 among the candidates nothing is computed for it
-            short = RankedList(query_id="q0", entries=(("p001", 2.0), ("p003", 1.5)))
+            short = ranked_over(idx, (("p001", 2.0), ("p003", 1.5)))
             fused_rank(short, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
         assert not caplog.records
 
@@ -201,3 +260,86 @@ class TestFusedRankModes:
             state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
             with pytest.raises(ValueError, match=f"'{missing}' was not in the training corpus"):
                 fused_rank(base, state, partial, FusionConfig(representation_mode="pvc"), coll, idx)
+
+
+@st.composite
+def fusion_cases(draw):
+    """A collection with shuffled ids (some passages empty or holding only
+    the unrepresentable "zz"), a ranker's list over its index with
+    excludes, a relevant pool, a mode and a lambda; small integer vectors,
+    so zero vectors and tied fused scores are common."""
+    lists = draw(st.lists(st.lists(st.sampled_from("abcdez"), max_size=6), min_size=2, max_size=30))
+    lists = [["zz" if t == "z" else t for t in tokens] for tokens in lists]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(lists))
+    coll = shuffled_collection(lists, order)
+    ids = list(coll.ids)
+    query = make_query(draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4)))
+    exclude = frozenset(draw(st.sets(st.sampled_from(ids))))
+    depth = draw(st.integers(1, len(ids) + 2))
+    pool = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+    ranker = draw(st.sampled_from(["ql", "bm25"]))
+    mode = draw(st.sampled_from(["pv", "pvc", "avg_w2v", "idf_w2v"]))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 5.0, 40.0]))
+    return coll, rng, query, exclude, depth, pool, ranker, mode, lam
+
+
+class TestPositionLists:
+    """fused_rank reads and returns index positions; entries only on read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fusion_cases())
+    def test_fused_rank_equals_reference_tuples(self, case):
+        coll, rng, query, exclude, depth, pool, ranker, mode, lam = case
+        idx = build_index(coll)
+        model = EmbeddingModel(
+            vocab={t: i for i, t in enumerate("abcde")},
+            word_vectors=rng.integers(-1, 3, size=(5, 3)).astype(float),
+            context_vectors=np.zeros((5, 3)),
+            dim=3,
+            passage_vectors=rng.integers(-1, 2, size=(len(coll), 3)).astype(float),
+            passage_ids=tuple(rng.permutation(coll.ids)),
+        )
+        if ranker == "ql":
+            base = rank_ql(query_mle(query), idx, RetrievalParams(mu=50.0), depth, exclude)
+        else:
+            base = rank_bm25(query, idx, RetrievalParams(), depth, exclude)
+        state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
+        cfg = FusionConfig(lambda_sf=lam, representation_mode=mode)
+        out = fused_rank(base, state, model, cfg, coll, idx)
+        expected = reference_fused_rank(base, state, model, cfg, coll, idx)
+        assert [(pid, repr(s)) for pid, s in out.entries] == [(pid, repr(s)) for pid, s in expected]
+        assert out.ids() == tuple(pid for pid, _ in expected)
+        assert out == RankedList(query_id=base.query_id, entries=expected)
+
+    def test_list_not_ranked_over_this_index_raises(self):
+        coll = make_collection([["a"], ["b"], ["c"]])
+        idx = build_index(coll)
+        other = build_index(coll)  # equal content, another index
+        model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.ones((1, 2)), context_vectors=np.ones((1, 2)),
+                               dim=2, passage_vectors=np.eye(3)[:, :2] + 0.5, passage_ids=coll.ids)
+        entries = (("p001", 2.0), ("p002", 1.0))
+        cfg = FusionConfig(representation_mode="pv")
+        for base in (RankedList(query_id="q0", entries=entries), ranked_over(other, entries)):
+            for state in (FeedbackState(), update_pools(FeedbackState(), [("p000", True)])):
+                with pytest.raises(ValueError, match="ranked over this index"):
+                    fused_rank(base, state, model, cfg, coll, idx)
+        assert fused_rank(ranked_over(idx, entries), FeedbackState(), model, cfg, coll, idx).entries == entries
+
+    def test_cached_norms_equal_per_call_norms(self):
+        rng = np.random.default_rng(7)
+        n = 5000  # more than one block of 4096 rows
+        coll = make_collection([["a"]] * n)
+        idx = build_index(coll)
+        ids = list(coll.ids)
+        trained = [ids[i] for i in rng.permutation(n)[: n - 10]]  # ten passages without a vector
+        model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.ones((1, 24)), context_vectors=np.ones((1, 24)),
+                               dim=24, passage_vectors=rng.normal(size=(n - 10, 24)), passage_ids=tuple(trained))
+        rows, norms = _pv_rows(model, idx)
+        assert not rows.flags.writeable and not norms.flags.writeable
+        assert (norms[rows < 0] == 0.0).all() and (rows < 0).sum() == 10
+        for _ in range(300):
+            draw = rng.choice(np.flatnonzero(rows >= 0), size=int(rng.integers(1, 131)), replace=False)
+            per_call = np.linalg.norm(model.passage_vectors[rows[draw]], axis=1)
+            assert per_call.tobytes() == norms[draw].tobytes()

@@ -1,6 +1,7 @@
 """QL / BM25 / Rocchio scoring against brute-force oracles."""
 
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irflab import retrieval
-from irflab.corpus import Passage, PassageCollection
 from irflab.index import build_index, collection_prob, tfidf_vector
 from irflab.retrieval import (
     RankedList,
@@ -25,7 +25,7 @@ from irflab.retrieval import (
     write_run,
 )
 
-from conftest import make_collection, make_query, random_token_lists
+from conftest import make_collection, make_query, random_token_lists, shuffled_collection
 
 
 def brute_ql_score(query_model, tokens, index, mu):
@@ -233,14 +233,6 @@ class TestDeterminismAndExclusion:
             assert ranked.ids() == ("p004", "p001", "p003", "p000", "p002")[:depth]
 
 
-def shuffled_collection(token_lists, order):
-    """Passage i gets id d<order[i]>, so id order differs from position order."""
-    return PassageCollection(
-        Passage(passage_id=f"d{k:02d}", doc_id=f"d{k:02d}", text=" ".join(tokens), tokens=tuple(tokens))
-        for k, tokens in zip(order, token_lists)
-    )
-
-
 @st.composite
 def take_top_cases(draw):
     n = draw(st.integers(1, 40))
@@ -363,6 +355,103 @@ class TestCachedQL:
                         ratio[0] = 0.0
                     with pytest.raises(ValueError):
                         positions[0] = 0
+
+
+def reference_take_top(index, scores, exclude, depth, query_id):
+    """Oracle: _take_top as it was before lists kept index positions; it
+    builds the (passage_id, score) tuple of the answer at once."""
+    id_to_pos = index.id_to_pos
+    excluded = {id_to_pos[pid] for pid in exclude if pid in id_to_pos}
+    n = index.passage_count
+    k = depth + len(excluded)
+    cand = None
+    if k < n:
+        cut = -np.partition(-scores, k - 1)[k - 1]
+        if np.isfinite(cut):
+            above = np.flatnonzero(scores > cut)
+            tied = np.flatnonzero(scores == cut)
+            need = k - len(above)
+            if len(tied) > need:
+                tied = tied[np.argpartition(index.tie_rank[tied], need - 1)[:need]]
+            cand = np.concatenate((above, tied))
+    if cand is None:
+        cand = np.arange(n)
+    order = np.lexsort((index.tie_rank[cand], -scores[cand]))
+    top = cand[order[:k]].tolist()
+    if excluded:
+        top = [i for i in top if i not in excluded][:depth]
+    ids = index.ids
+    return RankedList(query_id=query_id, entries=tuple(zip([ids[i] for i in top], scores[top].tolist())))
+
+
+class TestPositionLists:
+    """Rankers hold index positions and scores; entries are built on read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases)
+    def test_rankers_equal_reference_tuples(self, case):
+        lists, qtokens, rnd = case
+        order = list(range(len(lists)))
+        rnd.shuffle(order)
+        coll = shuffled_collection(lists, order)
+        idx = build_index(coll)
+        ids = list(idx.ids)
+        exclude = frozenset(rnd.sample(ids, rnd.randint(0, len(ids))) + ["x1"])
+        depth = rnd.randint(1, len(ids) + 2)
+        params = RetrievalParams(mu=rnd.choice(MU_GRID), k1=rnd.choice(K1_GRID))
+        qmodel = {t: qtokens.count(t) / len(qtokens) for t in qtokens}
+        qvec = {t: rnd.uniform(0.1, 2.0) for t in qtokens}
+        for call in (lambda: rank_ql(qmodel, idx, params, depth, exclude, query_id="q7"),
+                     lambda: rank_bm25(make_query(qtokens, "q7"), idx, params, depth, exclude),
+                     lambda: rank_rocchio(qvec, idx, depth, exclude, query_id="q7")):
+            with mock.patch.object(retrieval, "_take_top", wraps=retrieval._take_top) as take_top:
+                got = call()
+            (args, _), = take_top.call_args_list
+            ref = reference_take_top(*args)
+            assert got.positions.dtype == np.int64 and got.scores.dtype == np.float64
+            assert got.index_ids is idx.ids
+            # head() before ids() and entries, which cache the ids it reads next
+            for n in (0, 1, 3, len(got) + 1):
+                assert got.head(n) == ref.ids()[:n]
+            assert repr(got.entries) == repr(ref.entries)
+            assert got.ids() == ref.ids()
+
+    def test_arrays_and_attributes_are_read_only(self):
+        coll = make_collection([["a", "b"], ["b"], ["a", "a"]])
+        idx = build_index(coll)
+        ranked = rank_ql({"a": 0.5, "b": 0.5}, idx, RetrievalParams(mu=10.0), 3, exclude={"p001"})
+        assert len(ranked) == 2
+        for array in (ranked.positions, ranked.scores):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        for name in ("positions", "scores", "query_id", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(ranked, name, None)
+        assert ranked.entries is ranked.entries  # built once, then cached
+        assert ranked.ids() is ranked.ids()
+
+    def test_equality_and_hash_agree_across_constructors(self):
+        coll = make_collection([["a", "b"], ["b"], ["a", "a"], ["c"]])
+        idx = build_index(coll)
+        ranked = rank_bm25(make_query(["a", "b"]), idx, RetrievalParams(), 4)
+        built = RankedList(query_id="q0", entries=ranked.entries)
+        fresh = rank_bm25(make_query(["a", "b"]), idx, RetrievalParams(), 4)
+        assert ranked == built == fresh and built == ranked
+        assert hash(ranked) == hash(built) == hash(fresh)
+        assert len({ranked, built, fresh}) == 1
+        assert ranked != RankedList(query_id="q1", entries=ranked.entries)
+        assert ranked != RankedList(query_id="q0", entries=ranked.entries[:-1])
+        assert ranked != ranked.entries
+        assert repr(ranked) == repr(built)
+        assert built.positions is None and built.head(2) == ranked.head(2) and len(built) == len(ranked)
+        moved = ranked.relabel("q0.d3")
+        assert moved == RankedList(query_id="q0.d3", entries=ranked.entries)
+        assert moved.positions is ranked.positions and moved.index_ids is idx.ids
+        assert built.relabel("q0.d3") == moved
+        for original in (ranked, built):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
 
 
 class TestRunFiles:

@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irflab.corpus import Judgments
+from irflab.embeddings import EmbeddingModel
+from irflab.feedback import ErmParams
+from irflab.fusion import FusionConfig
 from irflab.feedback import FeedbackParams
 from irflab.index import build_index
 from irflab.retrieval import RetrievalParams, rank_ql
@@ -22,7 +26,7 @@ from irflab.simulation import (
     write_trace,
 )
 
-from conftest import make_collection, make_query, random_token_lists
+from conftest import make_collection, make_query, random_token_lists, shuffled_collection
 
 
 def planted_context(rng, n_passages=40, vocab=10, n_relevant=8, qid="q0"):
@@ -196,6 +200,67 @@ class TestSessionInvariants:
                     assert pid not in seen
                     seen.append(pid)
             assert not set(frozen.tail.ids()) & set(seen)
+
+
+@st.composite
+def freezing_cases(draw):
+    """A shuffled-id collection of 4-25 passages with a planted topic in
+    the relevant ones, an embedding model over it, and a session setting:
+    any method, fused or not, a fixed or the default depth."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(4, 25))
+    lists = random_token_lists(rng, n, 6, min_len=1, max_len=6)
+    order = rng.permutation(n)
+    relevant = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n // 2))
+    for i in relevant:
+        lists[i] = lists[i] + ["topic"]
+    coll = shuffled_collection(lists, order)
+    qrels = Judgments()
+    for i in relevant:
+        qrels.add("q0", coll.ids[i], 1)
+    vocab = sorted({t for p in coll for t in p.tokens})
+    emb = EmbeddingModel(
+        vocab={t: i for i, t in enumerate(vocab)},
+        word_vectors=rng.normal(size=(len(vocab), 4)),
+        context_vectors=np.zeros((len(vocab), 4)),
+        dim=4,
+        passage_vectors=rng.integers(-1, 2, size=(n, 4)).astype(float),
+        passage_ids=coll.ids,
+    )
+    ctx = EngineContext(collection=coll, index=build_index(coll), retrieval=RetrievalParams(mu=10.0),
+                        feedback=FeedbackParams(m=4, alpha_interp=0.5), erm=ErmParams(lambda_erm=0.5),
+                        embeddings=emb)
+    fusion = draw(st.sampled_from([None, FusionConfig(lambda_sf=1.5, representation_mode="pvc"),
+                                   FusionConfig(lambda_sf=40.0, representation_mode="pv")]))
+    cfg = SessionConfig(per_iter=draw(st.integers(1, 4)), iterations=draw(st.integers(1, 4)),
+                        rf_method=draw(st.sampled_from(["rm3", "distillation", "rocchio", "erm"])),
+                        fusion=fusion, depth=draw(st.sampled_from([None, 3, 8])))
+    return ctx, make_query(["topic", "t1"], qid="q0"), qrels, cfg
+
+
+class TestFreezingProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(freezing_cases())
+    def test_shown_blocks_keep_their_presentation_ranks(self, case):
+        ctx, query, qrels, cfg = case
+        frozen = run_irf_session(query, qrels, cfg, ctx).frozen
+        blocks, n = frozen.shown_blocks, cfg.per_iter
+        full = freeze_ranking(frozen)
+        assert len(full) == len(set(full))
+        # block i sits at ranks i*N+1 .. (i+1)*N, ahead of the tail
+        assert all(len(block) == n for block in blocks[:-1])
+        for i, block in enumerate(blocks):
+            assert full[i * n:i * n + len(block)] == block
+        assert full[sum(map(len, blocks)):] == frozen.tail.ids()
+        assert not set(frozen.tail.ids()) & frozen.shown
+        # later iterations never move a shown block: a session stopped after
+        # i iterations shows the same first i blocks, and its tail, ranked
+        # from the same judgments, opens with block i
+        for i in range(1, len(blocks)):
+            shorter = run_irf_session(query, qrels, dataclasses.replace(cfg, iterations=i), ctx).frozen
+            assert shorter.shown_blocks == blocks[:i]
+            assert shorter.tail.head(n) == blocks[i]
 
 
 class TestOneRel:
