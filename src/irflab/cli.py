@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_experiment_config
+from .config import ConfigError, load_experiment_config, tokenizer_from_config
 from .corpus import TokenizerConfig, ingest_corpus
 from .embeddings import TrainConfig, save_model, train_pv_hdc, train_skipgram
 from .evaluation import METRICS, SIGNIFICANCE_THRESHOLD
@@ -60,6 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("train-embeddings", help="train word/passage embeddings")
+    p.add_argument("--config", help="experiment config whose tokenizer reads the corpus; "
+                                    "default: stopwords removed, no stemming")
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=sorted(CLI_TRAIN_MODES), required=True)
     p.add_argument("--out", required=True)
@@ -123,7 +125,10 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train_embeddings(args) -> int:
-    tokenizer = TokenizerConfig.embedding()
+    if args.config:
+        tokenizer = tokenizer_from_config(load_experiment_config(args.config))
+    else:
+        tokenizer = TokenizerConfig.embedding()
     collection = ingest_corpus(args.corpus, tokenizer)
     config = TrainConfig(
         dim=args.dim,
@@ -138,6 +143,8 @@ def _cmd_train_embeddings(args) -> int:
     )
     trainer = train_skipgram if config.mode == "skipgram" else train_pv_hdc
     model = trainer(collection, config)
+    # load_engine refuses the model in an experiment that tokenizes otherwise
+    model.metadata["tokenizer"] = tokenizer.fingerprint()
     save_model(model, args.out)
     print(f"trained {config.mode} ({len(model.vocab)} terms, dim {model.dim}) -> {args.out}")
     return 0

@@ -9,6 +9,7 @@ All files UTF-8.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -91,6 +92,13 @@ class TokenizerConfig:
     def embedding(cls) -> "TokenizerConfig":
         """Embedding-corpus preprocessing: stopwords removed, no stemming."""
         return cls(stopwords=DEFAULT_STOPWORDS, stemming="none")
+
+    def fingerprint(self) -> dict:
+        """What an embedding model records of the tokenizer it was trained
+        with: the stemming mode and a sha256 of the sorted stopwords, one
+        per line."""
+        stopwords = "\n".join(sorted(self.stopwords)).encode("utf-8")
+        return {"stemming": self.stemming, "stopwords_sha256": hashlib.sha256(stopwords).hexdigest()}
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:

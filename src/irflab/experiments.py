@@ -35,8 +35,8 @@ from .config import (
     settings_from_config,
     tokenizer_from_config,
 )
-from .corpus import Judgments, Query, ingest_corpus, load_qrels, load_queries
-from .embeddings import load_model
+from .corpus import Judgments, Query, TokenizerConfig, ingest_corpus, load_qrels, load_queries
+from .embeddings import EmbeddingModel, load_model
 from .evaluation import (
     MetricResult,
     assign_folds,
@@ -83,6 +83,7 @@ def load_engine(cfg: dict) -> Engine:
     model_path = cfg.get("embeddings", {}).get("model_path")
     if model_path:
         embeddings = load_model(model_path)
+        _check_model_tokenizer(embeddings, tokenizer, model_path)
     ctx = EngineContext(
         collection=collection,
         index=build_index(collection),
@@ -93,6 +94,21 @@ def load_engine(cfg: dict) -> Engine:
     )
     queries = [q for q in queries if q.tokens]
     return Engine(ctx=ctx, queries=queries, qrels=qrels)
+
+
+def _check_model_tokenizer(model: EmbeddingModel, tokenizer: TokenizerConfig, path) -> None:
+    """Refuse a model trained with another tokenizer than the experiment's:
+    its vocabulary would miss the experiment's terms. A model that records
+    none (trained through the library, or before models recorded it) loads
+    unchecked."""
+    recorded = model.metadata.get("tokenizer")
+    if recorded is None:
+        logger.info("embedding model %s records no tokenizer; not checked against the experiment's", path)
+        return
+    expected = tokenizer.fingerprint()
+    if recorded != expected:
+        raise ConfigError(f"embedding model {path} was trained with tokenizer {recorded}; "
+                          f"the experiment tokenizes with {expected}")
 
 
 def _frozen_metric(results: Mapping[str, SessionResult], qrels: Judgments, metric: str) -> MetricResult:

@@ -1,11 +1,17 @@
 """Ranking functions over the inverted index.
 
-Three scorers:
-  rank_ql      weighted query models under Dirichlet smoothing, in the
-               KL-divergence rank-equivalent form (reduces to standard QL
-               for a maximum-likelihood query model)
-  rank_bm25    Okapi BM25 with the IDF clamped at zero
-  rank_rocchio dot product between a tf-idf query vector and tf-idf passages
+Each ranker is a score function plus _take_top:
+  ql_scores / rank_ql            weighted query models under Dirichlet
+                                 smoothing, in the KL-divergence
+                                 rank-equivalent form (reduces to standard
+                                 QL for a maximum-likelihood query model)
+  bm25_scores / rank_bm25        Okapi BM25 with the IDF clamped at zero
+  rocchio_scores / rank_rocchio  dot product between a tf-idf query vector
+                                 and tf-idf passages
+A score function returns one read-only float64 score per index position;
+the rank_* function passes it to _take_top. A caller that ranks one score
+array at several depths or excluded sets (a feedback session whose query
+model did not change) scores once and takes the tops itself.
 
 All rankings are deterministic: descending score with ties broken by
 ascending passage_id (the index's tie_rank). Excluded passages never appear
@@ -20,6 +26,11 @@ k + e entries of the full sort. Dropping the excluded passages among them
 and cutting to k gives the ranking. NaN scores sort last and never reach
 the cut. The full sort is used when k + e >= n and when the cut score is
 not finite: an infinite score, or fewer than k + e scores that are not NaN.
+
+Depth 1 needs no partition: with the excluded positions set to -inf on a
+copy, the answer is the passage of lowest tie_rank among those tied at the
+maximum. When that maximum is not finite (a NaN or an infinite score, or
+every passage excluded), the general path above decides instead.
 
 A ranking stays in index positions: a RankedList holds the positions it
 ranks and their scores as two arrays, and fused_rank re-ranks those arrays.
@@ -163,6 +174,14 @@ def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth
     id_to_pos = index.id_to_pos
     excluded = [id_to_pos[pid] for pid in exclude if pid in id_to_pos]
     n = index.passage_count
+    if depth == 1 and n:
+        masked = scores.copy()
+        masked[excluded] = -np.inf
+        best = masked.max()
+        if np.isfinite(best):
+            tied = np.flatnonzero(masked == best)
+            top = tied[index.tie_rank[tied].argmin(keepdims=True)]
+            return RankedList.at_positions(query_id, index.ids, top, scores[top])
     k = depth + len(excluded)
     cand = None
     if k < n:
@@ -188,14 +207,7 @@ def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth
     return RankedList.at_positions(query_id, index.ids, top, scores[top])
 
 
-def rank_ql(
-    query_model: Mapping[str, float],
-    index: Index,
-    params: RetrievalParams,
-    depth: int,
-    exclude: AbstractSet[str] = frozenset(),
-    query_id: str = "q",
-) -> RankedList:
+def ql_scores(query_model: Mapping[str, float], index: Index, params: RetrievalParams) -> np.ndarray:
     """Score passages by sum_w P(w|Q) * ln[(tf + mu p(w|C)) / (|d| + mu)].
 
     Expects a normalized query model (weights >= 0 summing to 1). Terms
@@ -223,16 +235,28 @@ def rank_ql(
         const += weight * log_smooth
         scores[positions] += weight * ratio
     scores += const - kept_weight * index.log_len_plus(mu)
-    return _take_top(index, scores, exclude, depth, query_id)
+    scores.setflags(write=False)
+    return scores
 
 
-def rank_bm25(
-    query: Query,
+def rank_ql(
+    query_model: Mapping[str, float],
     index: Index,
     params: RetrievalParams,
     depth: int,
     exclude: AbstractSet[str] = frozenset(),
+    query_id: str = "q",
 ) -> RankedList:
+    """The top depth passages by ``ql_scores``.
+
+    Every call scores afresh, so every call warns about each unseen query
+    term. A feedback session scores each distinct (model, mu) once and
+    warns once per scoring, however many rankings read it.
+    """
+    return _take_top(index, ql_scores(query_model, index, params), exclude, depth, query_id)
+
+
+def bm25_scores(query: Query, index: Index, params: RetrievalParams) -> np.ndarray:
     """Okapi BM25; idf = max(0, ln((N - df + 0.5) / (df + 0.5))).
 
     Repeated query tokens contribute once per occurrence.
@@ -254,16 +278,22 @@ def rank_bm25(
             continue
         positions, tfs = index.postings[term]
         scores[positions] += mult * w * tfs * (k1 + 1.0) / (tfs + norm[positions])
-    return _take_top(index, scores, exclude, depth, query.query_id)
+    scores.setflags(write=False)
+    return scores
 
 
-def rank_rocchio(
-    query_vec: TermVector,
+def rank_bm25(
+    query: Query,
     index: Index,
+    params: RetrievalParams,
     depth: int,
     exclude: AbstractSet[str] = frozenset(),
-    query_id: str = "q",
 ) -> RankedList:
+    """The top depth passages by ``bm25_scores``."""
+    return _take_top(index, bm25_scores(query, index, params), exclude, depth, query.query_id)
+
+
+def rocchio_scores(query_vec: TermVector, index: Index) -> np.ndarray:
     """Inner product of the query vector with each passage's tf-idf vector."""
     if not query_vec:
         raise ValueError("empty query vector")
@@ -276,7 +306,19 @@ def rank_rocchio(
             continue
         positions, tfs = index.postings[term]
         scores[positions] += qw * w * tfs
-    return _take_top(index, scores, exclude, depth, query_id)
+    scores.setflags(write=False)
+    return scores
+
+
+def rank_rocchio(
+    query_vec: TermVector,
+    index: Index,
+    depth: int,
+    exclude: AbstractSet[str] = frozenset(),
+    query_id: str = "q",
+) -> RankedList:
+    """The top depth passages by ``rocchio_scores``."""
+    return _take_top(index, rocchio_scores(query_vec, index), exclude, depth, query_id)
 
 
 def write_run(path, rankings: Iterable[RankedList], tag: str = "irflab") -> None:

@@ -33,7 +33,16 @@ from .feedback import (
 )
 from .fusion import FusionConfig, fused_rank
 from .index import Index, query_tfidf
-from .retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio
+from .retrieval import (
+    RankedList,
+    RetrievalParams,
+    _take_top,
+    bm25_scores,
+    ql_scores,
+    rank_bm25,
+    rank_ql,
+    rocchio_scores,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -106,14 +115,22 @@ class SessionResult:
 class _SessionModel:
     """Current query model plus the scorer matching the method family.
 
-    Every ranking, re-estimate and fusion goes through ``memo``, keyed on
-    exactly the inputs the call reads; a step already taken with the same
-    inputs is looked up, not recomputed. Rankings are frozen and shared;
+    Every scoring, ranking, re-estimate and fusion goes through ``memo``,
+    keyed on exactly the inputs the call reads; a step already taken with
+    the same inputs is looked up, not recomputed. A ranking is two steps: the
+    score array of the current model (keyed on its ordered items, because
+    ql_scores sums the terms in that order, and on the parameters the
+    scorer reads), then the top of it for one depth and excluded set. A
+    model that survives a judgment is therefore scored once, however many
+    rankings read it. Score arrays and rankings are read-only and shared;
     query models, Rocchio vectors and trace summaries come back as dict
     copies. The keys leave out what the memo's scope holds fixed: the
-    query, the collection, the index and the embedding model. Query models
-    are keyed on their ordered items, because rank_ql sums the terms in
-    that order.
+    query, the collection, the index and the embedding model.
+
+    Only the rows a session reads are ranked: a ranking for a shown block
+    that is not fused (no fusion config, or an empty relevant pool) is taken
+    at depth ``min(depth, per_iter)``. The tail and every base list that
+    fusion re-ranks keep the full depth.
     """
 
     def __init__(self, query: Query, method: str, ctx: EngineContext, memo: dict):
@@ -141,24 +158,33 @@ class _SessionModel:
             value = self.memo[key] = compute()
         return value
 
-    def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None) -> RankedList:
+    def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None,
+             shown: int | None = None) -> RankedList:
         """The current model's ranking of the unshown passages, fused with
-        the relevant pool when fusion is on and the pool is not empty."""
+        the relevant pool when fusion is on and the pool is not empty. When
+        the caller reads only the first ``shown`` rows of an unfused
+        ranking, it is taken no deeper."""
         ctx = self.ctx
         exclude = state.shown
-        qid = self.query.query_id
+        fused = fusion is not None and bool(state.relevant_pool)
+        if shown is not None and not fused:
+            depth = min(depth, shown)
         if self.kind == "lm":
-            model = self.model
-            key = ("ql", tuple(model.items()), ctx.retrieval, depth, exclude)
-            ranked = self._step(key, lambda: rank_ql(model, ctx.index, ctx.retrieval, depth, exclude, query_id=qid))
+            model, params = self.model, ctx.retrieval
+            score_key = ("ql", tuple(model.items()), params.mu)
+            score = lambda: ql_scores(model, ctx.index, params)
         elif not self.first_ranking_done:
-            key = ("bm25", ctx.retrieval, depth, exclude)
-            ranked = self._step(key, lambda: rank_bm25(self.query, ctx.index, ctx.retrieval, depth, exclude))
+            params = ctx.retrieval
+            score_key = ("bm25", params.k1, params.b)
+            score = lambda: bm25_scores(self.query, ctx.index, params)
         else:
             vec = self.vec
-            key = ("rocchio", tuple(vec.items()), depth, exclude)
-            ranked = self._step(key, lambda: rank_rocchio(vec, ctx.index, depth, exclude, query_id=qid))
-        if fusion is None or not state.relevant_pool:
+            score_key = ("rocchio", tuple(vec.items()))
+            score = lambda: rocchio_scores(vec, ctx.index)
+        key = (score_key, depth, exclude)
+        ranked = self._step(key, lambda: _take_top(
+            ctx.index, self._step(score_key, score), exclude, depth, self.query.query_id))
+        if not fused:
             return ranked
         if ctx.embeddings is None:
             raise ValueError("fusion requires an embedding model in the context")
@@ -235,7 +261,7 @@ def run_irf_session(
     early = False
     for iteration in range(cfg.iterations):
         depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-        ranked = model.rank(state, depth, cfg.fusion)
+        ranked = model.rank(state, depth, cfg.fusion, shown=cfg.per_iter)
         block = ranked.head(cfg.per_iter)
         if len(block) < cfg.per_iter:
             early = True

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: commands, exit codes, reproducibility."""
 
 import json
+import logging
 
 import pytest
 
 from irflab.cli import main
+from irflab.config import ConfigError
+from irflab.corpus import TokenizerConfig
+from irflab.embeddings import load_model, save_model
+from irflab.experiments import load_engine
 from irflab.retrieval import read_run
 
 
@@ -148,7 +153,8 @@ class TestRunIrf:
 
     def test_seeded_rerun_identical_run_files(self, synth_dir, tmp_path):
         model_path = tmp_path / "pvc.emb"
-        assert run_cli("train-embeddings", "--corpus", str(synth_dir / "corpus.jsonl"),
+        train_cfg = write_config(tmp_path / "train.json", experiment_config(synth_dir, tmp_path))
+        assert run_cli("train-embeddings", "--config", train_cfg, "--corpus", str(synth_dir / "corpus.jsonl"),
                        "--mode", "pvc", "--out", str(model_path), "--dim", "8",
                        "--epochs", "1", "--seed", "4") == 0
         variants = {"plain": {}}
@@ -206,9 +212,6 @@ class TestThreadsFlag:
 class TestRunIrfWithEmbeddings:
     def test_erm_and_fusion_pipeline(self, synth_dir, tmp_path):
         model_path = tmp_path / "pvc.emb"
-        assert run_cli("train-embeddings", "--corpus", str(synth_dir / "corpus.jsonl"),
-                       "--mode", "pvc", "--out", str(model_path), "--dim", "8",
-                       "--epochs", "1", "--seed", "4") == 0
         out_dir = tmp_path / "out"
         cfg = experiment_config(
             synth_dir, out_dir,
@@ -216,9 +219,65 @@ class TestRunIrfWithEmbeddings:
             embeddings={"model_path": str(model_path), "representation_mode": "pvc"},
             fusion={"enabled": True, "lambda_sf": 2.0},
         )
-        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 0
+        cfg_path = write_config(tmp_path / "cfg.json", cfg)
+        assert run_cli("train-embeddings", "--config", cfg_path, "--corpus", str(synth_dir / "corpus.jsonl"),
+                       "--mode", "pvc", "--out", str(model_path), "--dim", "8",
+                       "--epochs", "1", "--seed", "4") == 0
+        assert run_cli("run-irf", "--config", cfg_path) == 0
         assert (out_dir / "run_irf_erm_2x2.txt").exists()
         assert (out_dir / "run_irf_rm3_2x2.txt").exists()
+
+
+class TestModelTokenizer:
+    """train-embeddings records its tokenizer; an experiment that tokenizes
+    otherwise refuses the model."""
+
+    def train(self, synth_dir, path, *config):
+        assert run_cli("train-embeddings", *config, "--corpus", str(synth_dir / "corpus.jsonl"),
+                       "--mode", "pvc", "--out", str(path), "--dim", "4", "--epochs", "1") == 0
+        return load_model(path)
+
+    def test_default_config_refuses_a_model_trained_without_config(self, synth_dir, tmp_path, capsys):
+        # the default experiment tokenizer stems ("s"); the default embedding one does not
+        model_path = tmp_path / "pvc.emb"
+        model = self.train(synth_dir, model_path)
+        cfg = experiment_config(synth_dir, tmp_path / "out",
+                                embeddings={"model_path": str(model_path), "representation_mode": "pvc"},
+                                fusion={"enabled": True})
+        del cfg["tokenizer"]
+        capsys.readouterr()
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
+        assert "was trained with tokenizer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert model.metadata["tokenizer"] == TokenizerConfig.embedding().fingerprint()
+        # trained with the experiment's config, the same model loads
+        model = self.train(synth_dir, model_path, "--config", str(tmp_path / "cfg.json"))
+        assert model.metadata["tokenizer"] == {
+            "stemming": "s", "stopwords_sha256": TokenizerConfig().fingerprint()["stopwords_sha256"]}
+        assert run_cli("run-irf", "--config", str(tmp_path / "cfg.json")) == 0
+
+    def test_stopwords_are_compared(self, synth_dir, tmp_path):
+        model_path = tmp_path / "pvc.emb"
+        cfg = experiment_config(synth_dir, tmp_path / "out",
+                                embeddings={"model_path": str(model_path), "representation_mode": "pvc"})
+        cfg_path = write_config(tmp_path / "cfg.json", dict(cfg, tokenizer={"stopwords": "default", "stemming": "none"}))
+        self.train(synth_dir, model_path, "--config", cfg_path)
+        with pytest.raises(ConfigError, match="stopwords_sha256"):
+            load_engine(cfg)  # stopwords "none", stemming "none"
+        assert load_engine(dict(cfg, tokenizer={"stopwords": "default", "stemming": "none"})).ctx.embeddings
+
+    def test_model_without_record_loads_and_says_so(self, synth_dir, tmp_path, caplog):
+        model_path = tmp_path / "pvc.emb"
+        model = self.train(synth_dir, model_path)
+        del model.metadata["tokenizer"]
+        save_model(model, model_path)
+        cfg = experiment_config(synth_dir, tmp_path / "out",
+                                embeddings={"model_path": str(model_path), "representation_mode": "pvc"})
+        for loads in (1, 2):
+            with caplog.at_level(logging.INFO, logger="irflab.experiments"):
+                assert load_engine(cfg).ctx.embeddings is not None
+            lines = [r for r in caplog.records if "records no tokenizer" in r.getMessage()]
+            assert len(lines) == loads and lines[-1].levelno == logging.INFO
 
 
 class TestRunOnerel:

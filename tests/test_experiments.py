@@ -18,7 +18,8 @@ METHODS = ["rm3", "distillation", "rocchio", "erm"]
 MU_GRID = [30.0, 300.0, 1000.0]
 K1_GRID = [1.2, 2.0]
 SETTINGS = [[10, 1], [1, 10]]
-STEPS = ("rank_ql", "rank_bm25", "rank_rocchio", "estimate_rm3", "estimate_distillation",
+# sessions score through the score functions and rank their arrays with _take_top
+STEPS = ("ql_scores", "bm25_scores", "rocchio_scores", "estimate_rm3", "estimate_distillation",
          "rocchio_update", "estimate_erm", "fused_rank")
 
 
@@ -86,7 +87,7 @@ class TestSweep:
         for query, qrels, cfg, ctx, result in calls:
             assert run_irf_session(query, qrels, cfg, ctx) == result
         # the memo was used: sessions at different points shared steps
-        for name in ("estimate_distillation", "rank_rocchio", "rocchio_update", "fused_rank"):
+        for name in ("estimate_distillation", "rocchio_scores", "rocchio_update", "fused_rank"):
             assert swept[name] < counts[name], name
 
     def test_no_memo_outlives_an_experiment(self, sweep_config, tmp_path, monkeypatch):

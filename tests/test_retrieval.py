@@ -18,10 +18,13 @@ from irflab.retrieval import (
     MU_GRID,
     K1_GRID,
     _take_top,
+    bm25_scores,
+    ql_scores,
     rank_bm25,
     rank_ql,
     rank_rocchio,
     read_run,
+    rocchio_scores,
     write_run,
 )
 
@@ -452,6 +455,56 @@ class TestPositionLists:
         for original in (ranked, built):
             copy = pickle.loads(pickle.dumps(original))
             assert copy == original and hash(copy) == hash(original)
+
+
+@st.composite
+def depth_one_cases(draw):
+    """Scores from a few values, so ties are heavy, including +-0.0 (equal
+    but told apart by repr), +-inf and NaN; excluded ids in and out of the
+    index."""
+    n = draw(st.integers(1, 40))
+    values = draw(st.sampled_from([
+        (1.0, 0.0, -0.0), (0.0, -0.0, -math.inf), (2.5, -1.0, math.nan), (-math.inf, math.nan),
+        (math.inf, 1.0, 0.0), (-math.inf,), (3.0,), (0.5, -0.25, 0.125, -2.0)]))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=np.float64)
+    order = draw(st.permutations(range(n)))
+    ids = [f"d{k:02d}" for k in order]
+    exclude = frozenset(draw(st.sets(st.sampled_from(ids + ["x1", "x2"]))))
+    return shuffled_collection([["t"]] * n, order), scores, exclude
+
+
+class TestScoreFunctions:
+    @settings(max_examples=400, deadline=None)
+    @given(depth_one_cases())
+    def test_depth_one_equals_reference_take_top(self, case):
+        coll, scores, exclude = case
+        idx = build_index(coll)
+        scores.setflags(write=False)
+        got = _take_top(idx, scores, exclude, 1, "q3")
+        ref = reference_take_top(idx, scores, exclude, 1, "q3")
+        assert got.positions.dtype == np.int64 and got.scores.dtype == np.float64
+        assert repr(got.entries) == repr(ref.entries)
+        assert got.head(1) == ref.ids()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ranking_cases)
+    def test_rankers_are_their_score_function_plus_take_top(self, case):
+        lists, qtokens, rnd = case
+        idx = build_index(make_collection(lists))
+        ids = list(idx.ids)
+        exclude = frozenset(rnd.sample(ids, rnd.randint(0, len(ids))))
+        depth = rnd.randint(1, len(ids) + 2)
+        params = RetrievalParams(mu=rnd.choice(MU_GRID), k1=rnd.choice(K1_GRID))
+        qmodel = {t: qtokens.count(t) / len(qtokens) for t in qtokens}
+        qvec = {t: rnd.uniform(0.1, 2.0) for t in qtokens}
+        query = make_query(qtokens, "q5")
+        for ranked, scores in ((rank_ql(qmodel, idx, params, depth, exclude, query_id="q5"),
+                                ql_scores(qmodel, idx, params)),
+                               (rank_bm25(query, idx, params, depth, exclude), bm25_scores(query, idx, params)),
+                               (rank_rocchio(qvec, idx, depth, exclude, query_id="q5"), rocchio_scores(qvec, idx))):
+            assert scores.dtype == np.float64 and scores.shape == (idx.passage_count,)
+            assert not scores.flags.writeable
+            assert repr(ranked.entries) == repr(_take_top(idx, scores, exclude, depth, "q5").entries)
 
 
 class TestRunFiles:

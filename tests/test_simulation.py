@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 from irflab.corpus import Judgments
 from irflab.embeddings import EmbeddingModel
 from irflab.feedback import ErmParams
-from irflab.fusion import FusionConfig
+from irflab.fusion import FusionConfig, fused_rank
 from irflab.feedback import FeedbackParams
 from irflab.index import build_index
-from irflab.retrieval import RetrievalParams, rank_ql
-from irflab.feedback import query_mle, estimate_rm3
+from irflab.retrieval import RetrievalParams, rank_bm25, rank_ql, rank_rocchio
+from irflab.feedback import FeedbackState, query_mle, estimate_rm3, update_pools
+from irflab import simulation
 from irflab.simulation import (
     BUDGET_SETTINGS,
     EngineContext,
+    FrozenRanking,
     SessionConfig,
     _SessionModel,
     freeze_ranking,
@@ -261,6 +264,84 @@ class TestFreezingProperty:
             shorter = run_irf_session(query, qrels, dataclasses.replace(cfg, iterations=i), ctx).frozen
             assert shorter.shown_blocks == blocks[:i]
             assert shorter.tail.head(n) == blocks[i]
+
+
+def reference_rank(model, state, depth, fusion):
+    """Oracle: the session ranking before scores and tops were memoized
+    apart, with no memo; every ranking taken at the full depth."""
+    ctx, qid = model.ctx, model.query.query_id
+    if model.kind == "lm":
+        ranked = rank_ql(model.model, ctx.index, ctx.retrieval, depth, state.shown, query_id=qid)
+    elif not model.first_ranking_done:
+        ranked = rank_bm25(model.query, ctx.index, ctx.retrieval, depth, state.shown)
+    else:
+        ranked = rank_rocchio(model.vec, ctx.index, depth, state.shown, query_id=qid)
+    if fusion is None or not state.relevant_pool:
+        return ranked
+    return fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index)
+
+
+def reference_session(query, qrels, cfg, ctx):
+    """Oracle: the session loop ranking at depth 100 + shown (or the fixed
+    depth) every iteration and reading the first per_iter rows."""
+    state = FeedbackState()
+    model = _SessionModel(query, cfg.rf_method, ctx, {})
+    blocks, trace, early = [], [], False
+    for iteration in range(cfg.iterations):
+        depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
+        block = reference_rank(model, state, depth, cfg.fusion).ids()[:cfg.per_iter]
+        early = len(block) < cfg.per_iter
+        if not block:
+            break
+        judged = [(pid, qrels.is_relevant(query.query_id, pid)) for pid in block]
+        state = update_pools(state, judged)
+        blocks.append(block)
+        model.reestimate(state)
+        trace.append({"iteration": iteration, "shown": list(block),
+                      "judgments": dict(judged), "model": model.model_summary()})
+        if early:
+            break
+    depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
+    tail = reference_rank(model, state, depth, cfg.fusion)
+    return FrozenRanking(query.query_id, tuple(blocks), tail, early), trace
+
+
+class TestHeadOnlyRankings:
+    @settings(max_examples=150, deadline=None)
+    @given(freezing_cases(), st.sampled_from([None, 1, 2, 3, 8]))
+    def test_session_equals_full_depth_loop(self, case, depth):
+        ctx, query, qrels, cfg = case
+        cfg = dataclasses.replace(cfg, depth=depth)  # below per_iter: sessions end early
+        result = run_irf_session(query, qrels, cfg, ctx)
+        frozen, trace = reference_session(query, qrels, cfg, ctx)
+        assert result.frozen.shown_blocks == frozen.shown_blocks
+        assert result.frozen.early_exhausted == frozen.early_exhausted
+        assert repr(result.frozen.tail.entries) == repr(frozen.tail.entries)
+        assert result.trace == trace
+
+    def test_model_kept_after_a_nonrelevant_judgment_is_scored_once(self, rng, monkeypatch):
+        ctx, query, qrels = planted_context(rng, n_relevant=3)
+        scored, ranked = Counter(), []
+        ql_scores, take_top = simulation.ql_scores, simulation._take_top
+
+        def counted_scores(model, index, params):
+            scored[(tuple(model.items()), params.mu)] += 1
+            return ql_scores(model, index, params)
+
+        def counted_top(index, scores, exclude, depth, query_id):
+            ranked.append(depth)
+            return take_top(index, scores, exclude, depth, query_id)
+
+        monkeypatch.setattr(simulation, "ql_scores", counted_scores)
+        monkeypatch.setattr(simulation, "_take_top", counted_top)
+        result = run_irf_session(query, qrels, SessionConfig(per_iter=1, iterations=10, rf_method="rm3"), ctx)
+        judgments = [rel for row in result.trace for rel in row["judgments"].values()]
+        assert any(judgments) and not all(judgments)
+        # every distinct (model, mu) once; the rankings it serves differ in
+        # their excluded sets, and the in-loop ones read one row
+        assert set(scored.values()) == {1}
+        assert len(scored) < len(ranked) == 11
+        assert ranked == [1] * 10 + [110]
 
 
 class TestOneRel:
