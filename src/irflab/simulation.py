@@ -159,16 +159,16 @@ class _SessionModel:
         return value
 
     def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None,
-             shown: int | None = None) -> RankedList:
+             per_iter: int | None = None) -> RankedList:
         """The current model's ranking of the unshown passages, fused with
-        the relevant pool when fusion is on and the pool is not empty. When
-        the caller reads only the first ``shown`` rows of an unfused
-        ranking, it is taken no deeper."""
+        the relevant pool when fusion is on and the pool is not empty. A
+        caller that reads only the first ``per_iter`` rows gets an unfused
+        ranking taken no deeper."""
         ctx = self.ctx
         exclude = state.shown
         fused = fusion is not None and bool(state.relevant_pool)
-        if shown is not None and not fused:
-            depth = min(depth, shown)
+        if per_iter is not None and not fused:
+            depth = min(depth, per_iter)
         if self.kind == "lm":
             model, params = self.model, ctx.retrieval
             score_key = ("ql", tuple(model.items()), params.mu)
@@ -261,7 +261,7 @@ def run_irf_session(
     early = False
     for iteration in range(cfg.iterations):
         depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-        ranked = model.rank(state, depth, cfg.fusion, shown=cfg.per_iter)
+        ranked = model.rank(state, depth, cfg.fusion, per_iter=cfg.per_iter)
         block = ranked.head(cfg.per_iter)
         if len(block) < cfg.per_iter:
             early = True
