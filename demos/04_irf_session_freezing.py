@@ -2,7 +2,9 @@
 
 Judgments come from the planted qrels; two results are shown per iteration
 for five iterations (the 2x5 setting), and the final list freezes each
-shown block at its presentation ranks before the re-ranked tail.
+shown block at its presentation ranks before the re-ranked tail. Each step
+of the session's trace holds the judged passages and the query model
+re-estimated from them.
 """
 
 from irflab import (
@@ -32,9 +34,11 @@ query = queries[0]
 result = run_irf_session(query, qrels, SessionConfig(per_iter=2, iterations=5, rf_method="rm3"), ctx)
 
 print(f"query {query.query_id}: {query.text!r}")
-for record in result.trace:
-    marks = ["+" if rel else "-" for rel in record["judgments"].values()]
-    print(f"  iteration {record['iteration']}: shown {record['shown']} judged {marks}")
+for iteration, step in enumerate(result.trace):
+    shown = [pid for pid, _ in step.judged]
+    marks = ["+" if rel else "-" for _, rel in step.judged]
+    heaviest = max(step.weights, key=step.weights.get)
+    print(f"  iteration {iteration}: shown {shown} judged {marks}, heaviest term {heaviest!r}")
 
 frozen = result.frozen
 prefix = [pid for block in frozen.shown_blocks[:-1] for pid in block]

@@ -24,6 +24,7 @@ from .experiments import (
     evaluate_run_file,
     format_table,
     irf_experiment,
+    irf_title,
     onerel_experiment,
     significance_between,
 )
@@ -151,9 +152,10 @@ def _cmd_train_embeddings(args) -> int:
 
 
 def _cmd_run_irf(args) -> int:
-    summary = irf_experiment(_load_config(args))
+    cfg = _load_config(args)
+    summary = irf_experiment(cfg)
     columns = list(next(iter(summary.values())))
-    print(format_table(summary, columns, "mean MAP@100 of freezing rank lists"))
+    print(format_table(summary, columns, irf_title(cfg)))
     return 0
 
 

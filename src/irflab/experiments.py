@@ -45,16 +45,16 @@ from .evaluation import (
     fisher_randomization,
     grid_points,
 )
-from .feedback import query_mle
 from .fusion import FusionConfig
 from .index import build_index
-from .retrieval import RankedList, rank_bm25, rank_ql, read_run, write_run
+from .retrieval import RankedList, read_run, write_run
 from .simulation import (
     LM_METHODS,
     EngineContext,
     SessionConfig,
     SessionResult,
     freeze_ranking,
+    initial_ranking,
     run_irf_session,
     run_one_rel_experiment,
     write_trace,
@@ -117,14 +117,6 @@ def _frozen_metric(results: Mapping[str, SessionResult], qrels: Judgments, metri
         for qid, res in results.items()
     }
     return MetricResult.aggregate(metric, per_query)
-
-
-def initial_ranking(query: Query, method: str, ctx: EngineContext, depth: int = 100) -> RankedList:
-    """The no-feedback retrieval a method starts from: QL for the language
-    model family, BM25 for the vector-space family."""
-    if method in LM_METHODS or method == "ql":
-        return rank_ql(query_mle(query), ctx.index, ctx.retrieval, depth, query_id=query.query_id)
-    return rank_bm25(query, ctx.index, ctx.retrieval, depth)
 
 
 def _grids_for_method(cfg: dict, method: str, fusion: FusionConfig | None) -> dict[str, list]:
@@ -190,6 +182,15 @@ def format_table(rows: Mapping[str, Mapping[str, float]], columns: Sequence[str]
     return "\n".join(lines)
 
 
+def irf_metrics(cfg: dict) -> list[str]:
+    """run-irf's metrics; the first, its objective, is tuned and tabled."""
+    return list(cfg.get("evaluation", {}).get("metrics", ["map100", "ndcg20"]))
+
+
+def irf_title(cfg: dict) -> str:
+    return f"mean {irf_metrics(cfg)[0]} of freezing rank lists"
+
+
 def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     """Run the full iterative-feedback experiment; returns the summary rows
     {method: {column: mean score}} for the objective metric."""
@@ -199,7 +200,7 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     methods = methods_from_config(cfg)
     settings = settings_from_config(cfg)
     fusion = fusion_from_config(cfg)
-    metrics = cfg.get("evaluation", {}).get("metrics", ["map100", "ndcg20"])
+    metrics = irf_metrics(cfg)
     objective = metrics[0]
     folds = int(cfg.get("evaluation", {}).get("folds", 5))
     seed = int(cfg.get("seed", 0))
@@ -260,7 +261,7 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
             row[f"{per_iter}x{iterations}"] = per_metric[objective].mean
         summary[method] = row
     write_summary_csv(out_dir / f"summary_{objective}.csv", summary, columns)
-    logger.info("\n%s", format_table(summary, columns, f"mean {objective} of freezing rank lists"))
+    logger.info("\n%s", format_table(summary, columns, irf_title(cfg)))
     return summary
 
 

@@ -32,10 +32,10 @@ copy, the answer is the passage of lowest tie_rank among those tied at the
 maximum. When that maximum is not finite (a NaN or an infinite score, or
 every passage excluded), the general path above decides instead.
 
-A ranking stays in index positions: a RankedList holds the positions it
-ranks and their scores as two arrays, and fused_rank re-ranks those arrays.
-Passage ids and (passage_id, score) entries are built only when read, for
-a shown block, a tail or a run file.
+A ranking stays in index positions: a RankedList holds positions into an
+ids tuple (the index's; a list built from entries has its own) and their
+scores as two arrays, and fused_rank re-ranks those arrays. Passage ids and
+entries are built only when read, for a shown block, a tail or a run file.
 """
 
 from __future__ import annotations
@@ -73,49 +73,45 @@ class RetrievalParams:
 class RankedList:
     """Descending-score ranking of passages for one query.
 
-    A list made by a ranker or by fused_rank holds two read-only arrays,
-    ``positions`` (int64 index positions) and ``scores`` (float64), plus the
-    ranked index's ``ids`` tuple as ``index_ids``. ``entries`` (the
-    (passage_id, score) pairs) and ``ids()`` are derived from them on first
-    read and cached. ``RankedList(query_id=..., entries=...)`` builds a list
-    from entries; it has no positions, so fused_rank refuses it. Lists
+    A list holds two read-only arrays, ``positions`` (int64, into the ids
+    tuple ``index_ids``) and ``scores`` (float64). Rankers and fused_rank
+    share the index's ``ids``; ``RankedList(query_id, entries)`` ranks
+    positions 0 .. n-1 of the entries' own ids, so fused_rank refuses it.
+    ``entries`` and ``ids()`` are derived on first read and cached. Lists
     compare and hash by (query_id, entries), however they were built.
     """
 
     __slots__ = ("query_id", "positions", "scores", "index_ids", "_entries", "_ids")
 
     def __init__(self, query_id: str, entries: Iterable[tuple[str, float]]):
-        _set = object.__setattr__
-        _set(self, "query_id", query_id)
-        _set(self, "positions", None)
-        _set(self, "scores", None)
-        _set(self, "index_ids", None)
-        _set(self, "_entries", tuple(entries))
-        _set(self, "_ids", None)
+        entries = tuple(entries)
+        self._hold(query_id, tuple([pid for pid, _ in entries]), np.arange(len(entries), dtype=np.int64),
+                   np.array([score for _, score in entries], dtype=np.float64))
 
     @classmethod
     def at_positions(cls, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray,
                      scores: np.ndarray) -> "RankedList":
         """The list of these index positions with these scores, in order; both
         arrays are made read-only, not copied."""
+        ranked = cls.__new__(cls)
+        ranked._hold(query_id, index_ids, positions, scores)
+        return ranked
+
+    def _hold(self, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray, scores: np.ndarray) -> None:
         positions.setflags(write=False)
         scores.setflags(write=False)
-        ranked = cls.__new__(cls)
         _set = object.__setattr__
-        _set(ranked, "query_id", query_id)
-        _set(ranked, "positions", positions)
-        _set(ranked, "scores", scores)
-        _set(ranked, "index_ids", index_ids)
-        _set(ranked, "_entries", None)
-        _set(ranked, "_ids", None)
-        return ranked
+        _set(self, "query_id", query_id)
+        _set(self, "positions", positions)
+        _set(self, "scores", scores)
+        _set(self, "index_ids", index_ids)
+        _set(self, "_entries", None)
+        _set(self, "_ids", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RankedList is read-only; cannot set {name!r}")
 
     def __reduce__(self):
-        if self.positions is None:
-            return RankedList, (self.query_id, self._entries)
         return RankedList.at_positions, (self.query_id, self.index_ids, self.positions, self.scores)
 
     @property
@@ -137,19 +133,15 @@ class RankedList:
         """The first n passage ids, read without building the rest."""
         if self._ids is not None:
             return self._ids[:n]
-        if self.positions is None:
-            return tuple([pid for pid, _ in self._entries[:n]])
         index_ids = self.index_ids
         return tuple([index_ids[i] for i in self.positions[:n].tolist()])
 
     def relabel(self, query_id: str) -> "RankedList":
         """The same ranking under another query id, sharing the arrays."""
-        if self.positions is None:
-            return RankedList(query_id, self._entries)
         return RankedList.at_positions(query_id, self.index_ids, self.positions, self.scores)
 
     def __len__(self) -> int:
-        return len(self._entries) if self.positions is None else len(self.positions)
+        return len(self.positions)
 
     def __iter__(self):
         return iter(self.entries)

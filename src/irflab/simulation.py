@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,26 +107,35 @@ def freeze_ranking(frozen: FrozenRanking) -> tuple[str, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True, slots=True)
+class TraceStep:
+    """One iteration of a session: the shown passages with their judgments,
+    and the query weights re-estimated from them (the memo's, not a copy)."""
+
+    judged: tuple[tuple[str, bool], ...]
+    weights: Mapping[str, float]
+
+
 @dataclass
 class SessionResult:
     frozen: FrozenRanking
-    trace: list[dict] = field(default_factory=list)
+    trace: list[TraceStep] = field(default_factory=list)
 
 
 class _SessionModel:
-    """Current query model plus the scorer matching the method family.
+    """Current query weights plus the scorer matching the method family.
 
-    Every scoring, ranking, re-estimate and fusion goes through ``memo``,
-    keyed on exactly the inputs the call reads; a step already taken with
-    the same inputs is looked up, not recomputed. A ranking is two steps: the
-    score array of the current model (keyed on its ordered items, because
-    ql_scores sums the terms in that order, and on the parameters the
-    scorer reads), then the top of it for one depth and excluded set. A
-    model that survives a judgment is therefore scored once, however many
-    rankings read it. Score arrays and rankings are read-only and shared;
-    query models, Rocchio vectors and trace summaries come back as dict
-    copies. The keys leave out what the memo's scope holds fixed: the
-    query, the collection, the index and the embedding model.
+    ``weights`` is the query model (rocchio: the tf-idf vector), first the
+    query's own, then each re-estimate. These, and every scoring, ranking
+    and fusion, go through ``memo``, keyed on exactly the inputs the call
+    reads; a step already taken with the same inputs is looked up, not
+    recomputed. A ranking is two steps: the score array of the weights
+    (keyed on their ordered items, because ql_scores sums the terms in that
+    order, and on the scorer's parameters), then its top for one depth and
+    excluded set, so weights that survive a judgment are scored once. Every
+    memo value is read-only and shared (arrays not writeable, weights
+    ``MappingProxyType``s). The keys leave out what the memo's scope holds
+    fixed: the query, the collection, the index and the embedding model.
 
     Only the rows a session reads are ranked: a ranking for a shown block
     that is not fused (no fusion config, or an empty relevant pool) is taken
@@ -142,14 +152,10 @@ class _SessionModel:
         self.method = method
         self.ctx = ctx
         self.memo = memo
-        if method in LM_METHODS:
-            self.kind = "lm"
-            self.model = query_mle(query)
-        else:
-            self.kind = "vsm"
-            self.vec = query_tfidf(query, ctx.index)
-            if not self.vec:
-                raise ValueError(f"query {query.query_id!r} has no indexable tokens")
+        self.kind = "lm" if method in LM_METHODS else "vsm"
+        self.weights = self._query_weights()
+        if not self.weights:
+            raise ValueError(f"query {query.query_id!r} has no indexable tokens")
         self.first_ranking_done = False
 
     def _step(self, key: tuple, compute: Callable[[], object]):
@@ -157,6 +163,11 @@ class _SessionModel:
         if value is None:
             value = self.memo[key] = compute()
         return value
+
+    def _query_weights(self) -> Mapping[str, float]:
+        if self.kind == "lm":
+            return self._step(("mle",), lambda: MappingProxyType(query_mle(self.query)))
+        return self._step(("tfidf",), lambda: MappingProxyType(query_tfidf(self.query, self.ctx.index)))
 
     def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None,
              per_iter: int | None = None) -> RankedList:
@@ -169,18 +180,16 @@ class _SessionModel:
         fused = fusion is not None and bool(state.relevant_pool)
         if per_iter is not None and not fused:
             depth = min(depth, per_iter)
+        weights, params = self.weights, ctx.retrieval
         if self.kind == "lm":
-            model, params = self.model, ctx.retrieval
-            score_key = ("ql", tuple(model.items()), params.mu)
-            score = lambda: ql_scores(model, ctx.index, params)
+            score_key = ("ql", tuple(weights.items()), params.mu)
+            score = lambda: ql_scores(weights, ctx.index, params)
         elif not self.first_ranking_done:
-            params = ctx.retrieval
             score_key = ("bm25", params.k1, params.b)
             score = lambda: bm25_scores(self.query, ctx.index, params)
         else:
-            vec = self.vec
-            score_key = ("rocchio", tuple(vec.items()))
-            score = lambda: rocchio_scores(vec, ctx.index)
+            score_key = ("rocchio", tuple(weights.items()))
+            score = lambda: rocchio_scores(weights, ctx.index)
         key = (score_key, depth, exclude)
         ranked = self._step(key, lambda: _take_top(
             ctx.index, self._step(score_key, score), exclude, depth, self.query.query_id))
@@ -203,12 +212,12 @@ class _SessionModel:
 
         self.first_ranking_done = True
         if self.method == "rocchio":
-            self.vec = dict(self._step(("rocchio_update", rel, nonrel, fb), lambda: rocchio_update(
-                query_tfidf(self.query, ctx.index), passages(rel), passages(nonrel), ctx.index, fb)))
+            self.weights = self._step(("rocchio_update", rel, nonrel, fb), lambda: MappingProxyType(rocchio_update(
+                self._query_weights(), passages(rel), passages(nonrel), ctx.index, fb)))
             return
         if not rel:
             # No positive evidence yet: keep the maximum-likelihood query model.
-            self.model = query_mle(self.query)
+            self.weights = self._query_weights()
             return
         if self.method == "rm3":
             key = ("rm3", rel, fb, mu)
@@ -225,19 +234,7 @@ class _SessionModel:
                 self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu)
         else:
             raise ValueError(f"unknown method {self.method!r}")
-        self.model = dict(self._step(key, compute))
-
-    def model_summary(self) -> dict:
-        """The current model's ten heaviest terms (ties by term) with their
-        weights rounded to 6 places; memoized like the other steps, under
-        the model's ordered items."""
-        items = tuple((self.model if self.kind == "lm" else self.vec).items())
-
-        def summarize() -> dict:
-            top = sorted(items, key=lambda kv: (-kv[1], kv[0]))[:10]
-            return {t: round(w, 6) for t, w in top}
-
-        return dict(self._step(("summary", items), summarize))
+        self.weights = self._step(key, lambda: MappingProxyType(compute()))
 
 
 def run_irf_session(
@@ -257,7 +254,7 @@ def run_irf_session(
     state = FeedbackState()
     model = _SessionModel(query, cfg.rf_method, ctx, {} if memo is None else memo)
     blocks: list[tuple[str, ...]] = []
-    trace: list[dict] = []
+    trace: list[TraceStep] = []
     early = False
     for iteration in range(cfg.iterations):
         depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
@@ -271,16 +268,11 @@ def run_irf_session(
             )
         if not block:
             break
-        judged = [(pid, qrels.is_relevant(query.query_id, pid)) for pid in block]
+        judged = tuple([(pid, qrels.is_relevant(query.query_id, pid)) for pid in block])
         state = update_pools(state, judged)
         blocks.append(block)
         model.reestimate(state)
-        trace.append({
-            "iteration": iteration,
-            "shown": list(block),
-            "judgments": {pid: rel for pid, rel in judged},
-            "model": model.model_summary(),
-        })
+        trace.append(TraceStep(judged, model.weights))
         if early:
             break
     depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
@@ -292,6 +284,15 @@ def run_irf_session(
         early_exhausted=early,
     )
     return SessionResult(frozen=frozen, trace=trace)
+
+
+def initial_ranking(query: Query, method: str, ctx: EngineContext, depth: int = 100,
+                    exclude: AbstractSet[str] = frozenset()) -> RankedList:
+    """The no-feedback retrieval a method starts from: QL of the query's MLE
+    for 'ql' and the language-model methods, BM25 for 'bm25' and rocchio."""
+    if method in LM_METHODS or method == "ql":
+        return rank_ql(query_mle(query), ctx.index, ctx.retrieval, depth, exclude, query_id=query.query_id)
+    return rank_bm25(query, ctx.index, ctx.retrieval, depth, exclude)
 
 
 @dataclass(frozen=True)
@@ -337,10 +338,8 @@ def run_one_rel_experiment(
             model = _SessionModel(query, method, ctx, memo)
             model.reestimate(state)
             ranked = model.rank(state, k, fusion)
-        elif method == "ql":
-            ranked = rank_ql(query_mle(query), ctx.index, ctx.retrieval, k, state.shown, query_id=query.query_id)
         else:
-            ranked = rank_bm25(query, ctx.index, ctx.retrieval, k, state.shown)
+            ranked = initial_ranking(query, method, ctx, k, state.shown)
         out.append(OneRelDraw(
             topic_id=topic_id,
             fed_passage=fed,
@@ -350,9 +349,15 @@ def run_one_rel_experiment(
 
 
 def write_trace(path, results: Sequence[SessionResult]) -> None:
-    """Session audit log, one JSON object per iteration."""
+    """Session audit log, one JSON object per trace step, rendered here: the
+    query id, the iteration, the shown passages and their judgments, and the
+    re-estimated model's ten heaviest terms (ties broken by term), weights
+    rounded to 6 places."""
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
-            for record in result.trace:
-                row = dict(record, query_id=result.frozen.query_id)
+            for iteration, step in enumerate(result.trace):
+                top = sorted(step.weights.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+                row = {"iteration": iteration, "judgments": dict(step.judged),
+                       "model": {t: round(w, 6) for t, w in top}, "query_id": result.frozen.query_id,
+                       "shown": [pid for pid, _ in step.judged]}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")

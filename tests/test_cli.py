@@ -106,6 +106,14 @@ class TestRunIrf:
         run = read_run(out_dir / "run_irf_rm3_2x2.txt")
         assert len(run) == 8
 
+    def test_table_names_the_objective_metric(self, synth_dir, tmp_path, capsys):
+        cfg = experiment_config(synth_dir, tmp_path / "out", evaluation={"metrics": ["ndcg20", "map100"]})
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("mean ndcg20 of freezing rank lists\n")
+        assert "MAP@100" not in stdout and "map100" not in stdout
+        assert (tmp_path / "out" / "summary_ndcg20.csv").exists()
+
     def test_unknown_config_key_exits_2(self, synth_dir, tmp_path):
         typo = experiment_config(synth_dir, tmp_path / "out")
         typo["sessions"] = {}
@@ -173,11 +181,14 @@ class TestRunIrf:
                 code = run_cli("run-irf", "--config", write_config(tmp_path / f"{sub}-{name}.json", cfg),
                                "--deterministic")
                 assert code == 0
-                files.update({(name, p.name): p.read_bytes() for p in out_dir.glob("run_irf_*.txt")})
+                for pattern in ("run_irf_*.txt", "trace_*.jsonl"):
+                    files.update({(name, p.name): p.read_bytes() for p in out_dir.glob(pattern)})
             outs.append(files)
         assert sorted(outs[0]) == [("avg_w2v", "run_irf_erm_2x2.txt"), ("avg_w2v", "run_irf_rm3_2x2.txt"),
-                                   ("plain", "run_irf_rm3_2x2.txt"),
-                                   ("pvc", "run_irf_erm_2x2.txt"), ("pvc", "run_irf_rm3_2x2.txt")]
+                                   ("avg_w2v", "trace_erm_2x2.jsonl"), ("avg_w2v", "trace_rm3_2x2.jsonl"),
+                                   ("plain", "run_irf_rm3_2x2.txt"), ("plain", "trace_rm3_2x2.jsonl"),
+                                   ("pvc", "run_irf_erm_2x2.txt"), ("pvc", "run_irf_rm3_2x2.txt"),
+                                   ("pvc", "trace_erm_2x2.jsonl"), ("pvc", "trace_rm3_2x2.jsonl")]
         assert outs[0] == outs[1]
         # run-irf has no session pool: more than one thread is refused
         out_dir = tmp_path / "z"

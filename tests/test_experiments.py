@@ -1,6 +1,7 @@
 """run-irf's query-major sweep and the session-step memo it shares."""
 
 from collections import Counter
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -108,23 +109,31 @@ def engine(sweep_config):
 
 
 class TestSessionMemo:
-    def test_hits_return_distinct_dicts(self, engine):
+    def test_hits_return_the_same_read_only_mapping(self, engine):
         query = engine.queries[0]
         ranked = rank_ql({t: 1.0 / len(query.tokens) for t in query.tokens}, engine.ctx.index,
                          engine.ctx.retrieval, 4)
         state = update_pools(FeedbackState(), [(pid, True) for pid in ranked.ids()])
         memo: dict = {}
-        for method, attr in (("rm3", "model"), ("rocchio", "vec")):
+        for method in ("rm3", "rocchio"):
             models = []
             for _ in range(3):  # a miss, then two hits
                 model = _SessionModel(query, method, engine.ctx, memo)
                 model.reestimate(state)
-                models.append(getattr(model, attr))
-            assert models[0] == models[1] == models[2]
-            assert len({id(m) for m in models}) == 3
-            models[1].clear()
+                models.append(model.weights)
+            assert models[0] is models[1] is models[2]
+            assert isinstance(models[0], MappingProxyType)
+            stored = [key for key, value in memo.items() if value is models[0]]
+            assert len(stored) == 1
+            before = dict(models[0])
+            term = next(iter(before))
+            with pytest.raises(TypeError):
+                models[1][term] = 0.0
+            with pytest.raises(TypeError):
+                models[1]["not-a-term"] = 1.0
+            assert memo[stored[0]] is models[0] and dict(memo[stored[0]]) == before
             model.reestimate(state)
-            assert getattr(model, attr) == models[0]
+            assert model.weights is models[0] and dict(model.weights) == before
 
     def test_rank_key_keeps_the_model_order(self, engine):
         # rank_ql sums the terms in the model's order; two orders of the same
@@ -146,7 +155,7 @@ class TestSessionMemo:
         memo: dict = {}
         for model_dict, expected in zip((forward, backward), fresh):
             model = _SessionModel(query, "rm3", ctx, memo)
-            model.model = model_dict
+            model.weights = MappingProxyType(model_dict)
             assert model.rank(FeedbackState(), 20, None) == expected
 
     def test_memo_belongs_to_one_query(self, engine):

@@ -447,7 +447,12 @@ class TestPositionLists:
         assert ranked != RankedList(query_id="q0", entries=ranked.entries[:-1])
         assert ranked != ranked.entries
         assert repr(ranked) == repr(built)
-        assert built.positions is None and built.head(2) == ranked.head(2) and len(built) == len(ranked)
+        # an entries-built list ranks positions 0 .. n-1 of its own ids
+        assert built.index_ids == ranked.ids() and built.index_ids is not idx.ids
+        assert built.positions.dtype == np.int64 and built.scores.dtype == np.float64
+        assert built.positions.tolist() == list(range(len(built)))
+        assert not built.positions.flags.writeable and not built.scores.flags.writeable
+        assert built.head(2) == ranked.head(2) and len(built) == len(ranked)
         moved = ranked.relabel("q0.d3")
         assert moved == RankedList(query_id="q0.d3", entries=ranked.entries)
         assert moved.positions is ranked.positions and moved.index_ids is idx.ids

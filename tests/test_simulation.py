@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from irflab.feedback import ErmParams
 from irflab.fusion import FusionConfig, fused_rank
 from irflab.feedback import FeedbackParams
 from irflab.index import build_index
-from irflab.retrieval import RetrievalParams, rank_bm25, rank_ql, rank_rocchio
+from irflab.retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql, rank_rocchio
 from irflab.feedback import FeedbackState, query_mle, estimate_rm3, update_pools
 from irflab import simulation
 from irflab.simulation import (
@@ -22,6 +25,8 @@ from irflab.simulation import (
     EngineContext,
     FrozenRanking,
     SessionConfig,
+    SessionResult,
+    TraceStep,
     _SessionModel,
     freeze_ranking,
     run_irf_session,
@@ -156,36 +161,62 @@ def sorted_summary(weights):
     return {t: round(w, 6) for t, w in top}
 
 
+def written_rows(results):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_trace(path, results)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+# exact ties, and weights that differ below the sixth place, so round alike
+trace_weights = st.one_of(
+    st.sampled_from([0.5, 0.25, 0.1, 1 / 3, 1e-7, 0.0]),
+    st.builds(lambda base, nudge: base + nudge, st.sampled_from([0.1, 0.123456, 0.4]),
+              st.sampled_from([0.0, 1e-9, -1e-9, 2.5e-8, 4.9e-7])),
+    st.floats(0.0, 1.0),
+)
+
+
 class TestTraceSummaries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.text("abcdefgh", min_size=1, max_size=2), trace_weights,
+                                    min_size=1, max_size=25), min_size=1, max_size=4))
+    def test_written_model_is_the_sorted_summary(self, models):
+        steps = [TraceStep(((f"p{i}", i % 2 == 0), (f"n{i}", False)), MappingProxyType(dict(weights)))
+                 for i, weights in enumerate(models)]
+        before = [(step.judged, step.weights, tuple(step.weights.items())) for step in steps]
+        result = SessionResult(FrozenRanking("q3", (), RankedList("q3", ())), list(steps))
+        rows = written_rows([result])
+        assert [row["model"] for row in rows] == [sorted_summary(weights) for weights in models]
+        assert [row["iteration"] for row in rows] == list(range(len(models)))
+        assert all(row["query_id"] == "q3" for row in rows)
+        assert [row["shown"] for row in rows] == [[f"p{i}", f"n{i}"] for i in range(len(models))]
+        assert [row["judgments"] for row in rows] == [{f"p{i}": i % 2 == 0, f"n{i}": False}
+                                                      for i in range(len(models))]
+        # writing renders; the steps are left as they were
+        assert result.trace == steps
+        for step, (judged, weights, items) in zip(steps, before):
+            assert step.judged is judged and step.weights is weights
+            assert tuple(step.weights.items()) == items
+
     @pytest.mark.parametrize("method", ["rm3", "rocchio"])
-    def test_memoized_summaries_equal_sorted_summaries(self, method, rng, monkeypatch):
+    def test_session_trace_renders_sorted_summaries(self, method, rng):
         ctx, query, qrels = planted_context(rng, n_passages=60, vocab=30, n_relevant=6)
         ctx = dataclasses.replace(ctx, feedback=FeedbackParams(m=20))  # models of more than ten terms
         cfg = SessionConfig(per_iter=1, iterations=10, rf_method=method)
         memo: dict = {}
         first = run_irf_session(query, qrels, cfg, ctx, memo)
-        again = run_irf_session(query, qrels, cfg, ctx, memo)  # every summary a memo hit
-        first.trace[0]["model"]["mutated"] = 1.0  # summaries come back as copies
-        assert all("mutated" not in v for k, v in memo.items() if k[0] == "summary")
-        first.trace[0]["model"].pop("mutated")
-
-        sizes = []
-
-        def fresh(self):
-            weights = self.model if self.kind == "lm" else self.vec
-            sizes.append(len(weights))
-            return sorted_summary(weights)
-
-        monkeypatch.setattr(_SessionModel, "model_summary", fresh)
-        reference = run_irf_session(query, qrels, cfg, ctx)
-        assert first.trace == reference.trace
-        assert again.trace == reference.trace
-        rows = [row["model"] for row in reference.trace]
-        assert max(sizes) > 10
-        assert len(rows[-1]) == 10
+        again = run_irf_session(query, qrels, cfg, ctx, memo)  # every model a memo hit
+        assert first.trace == again.trace
+        assert all(a.weights is b.weights for a, b in zip(first.trace, again.trace))
+        assert all(isinstance(step.weights, MappingProxyType) for step in first.trace)
+        rows = written_rows([first])
+        assert [row["model"] for row in rows] == [sorted_summary(step.weights) for step in first.trace]
+        assert max(len(step.weights) for step in first.trace) > 10
+        assert len(rows[-1]["model"]) == 10
         if method == "rm3":
-            # a non-relevant judgment keeps the rm3 model: its summary is a memo hit
-            assert any(a == b for a, b in zip(rows, rows[1:]))
+            # a non-relevant judgment keeps the rm3 model: the same mapping
+            assert any(a.weights is b.weights for a, b in zip(first.trace, first.trace[1:]))
 
 
 class TestSessionInvariants:
@@ -271,11 +302,11 @@ def reference_rank(model, state, depth, fusion):
     apart, with no memo; every ranking taken at the full depth."""
     ctx, qid = model.ctx, model.query.query_id
     if model.kind == "lm":
-        ranked = rank_ql(model.model, ctx.index, ctx.retrieval, depth, state.shown, query_id=qid)
+        ranked = rank_ql(model.weights, ctx.index, ctx.retrieval, depth, state.shown, query_id=qid)
     elif not model.first_ranking_done:
         ranked = rank_bm25(model.query, ctx.index, ctx.retrieval, depth, state.shown)
     else:
-        ranked = rank_rocchio(model.vec, ctx.index, depth, state.shown, query_id=qid)
+        ranked = rank_rocchio(model.weights, ctx.index, depth, state.shown, query_id=qid)
     if fusion is None or not state.relevant_pool:
         return ranked
     return fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index)
@@ -297,8 +328,7 @@ def reference_session(query, qrels, cfg, ctx):
         state = update_pools(state, judged)
         blocks.append(block)
         model.reestimate(state)
-        trace.append({"iteration": iteration, "shown": list(block),
-                      "judgments": dict(judged), "model": model.model_summary()})
+        trace.append(TraceStep(tuple(judged), model.weights))
         if early:
             break
     depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
@@ -335,7 +365,7 @@ class TestHeadOnlyRankings:
         monkeypatch.setattr(simulation, "ql_scores", counted_scores)
         monkeypatch.setattr(simulation, "_take_top", counted_top)
         result = run_irf_session(query, qrels, SessionConfig(per_iter=1, iterations=10, rf_method="rm3"), ctx)
-        judgments = [rel for row in result.trace for rel in row["judgments"].values()]
+        judgments = [rel for step in result.trace for _, rel in step.judged]
         assert any(judgments) and not all(judgments)
         # every distinct (model, mu) once; the rankings it serves differ in
         # their excluded sets, and the in-loop ones read one row
