@@ -1,7 +1,9 @@
 """Experiment configuration: a single schema-versioned JSON document.
 
-Unknown keys are rejected anywhere in the document so typos fail loudly.
-Grids with more than one point trigger cross-validated tuning in run-irf.
+Unknown keys are rejected anywhere in the document so typos fail loudly,
+and the session and feedback values are checked when the document is
+loaded, before any data is read. Grids with more than one point trigger
+cross-validated tuning in run-irf.
 """
 
 from __future__ import annotations
@@ -80,7 +82,30 @@ def load_experiment_config(path) -> dict:
     folds = cfg.get("evaluation", {}).get("folds")
     if folds is not None and (type(folds) is not int or folds < 2):
         raise ConfigError(f"evaluation.folds must be an integer >= 2, got {folds!r}")
+    depth = cfg.get("session", {}).get("depth")
+    if depth is not None and (type(depth) is not int or depth < 1):
+        raise ConfigError(f"session.depth must be an integer >= 1, got {depth!r}")
+    settings_from_config(cfg)
+    feedback_from_config(cfg)
+    erm_from_config(cfg)
     return cfg
+
+
+def _typed_params(cfg: dict, section_name: str, ints: tuple[str, ...], reals: tuple[str, ...]) -> dict:
+    """The section's values for these parameters, refused unless each is an
+    integer (ints) or a number (reals); booleans are neither."""
+    section = cfg.get(section_name, {})
+    kwargs = {}
+    for key in ints + reals:
+        if key not in section:
+            continue
+        value = section[key]
+        if key in ints and type(value) is not int:
+            raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
+        if key in reals and (type(value) is bool or not isinstance(value, (int, float))):
+            raise ConfigError(f"{section_name}.{key} must be a number, got {value!r}")
+        kwargs[key] = value
+    return kwargs
 
 
 def tokenizer_from_config(cfg: dict) -> TokenizerConfig:
@@ -115,13 +140,9 @@ def retrieval_from_config(cfg: dict) -> RetrievalParams:
 
 
 def feedback_from_config(cfg: dict) -> FeedbackParams:
-    section = cfg.get("feedback", {})
-    kwargs = {
-        k: section[k]
-        for k in ("m", "alpha_interp", "lambda_mix", "lambda_nr", "rocchio_alpha",
-                  "rocchio_beta", "rocchio_gamma", "em_max_iters", "em_tol")
-        if k in section
-    }
+    kwargs = _typed_params(cfg, "feedback", ("m", "em_max_iters"),
+                           ("alpha_interp", "lambda_mix", "lambda_nr", "rocchio_alpha",
+                            "rocchio_beta", "rocchio_gamma", "em_tol"))
     try:
         return FeedbackParams(**kwargs)
     except ValueError as exc:
@@ -129,8 +150,7 @@ def feedback_from_config(cfg: dict) -> FeedbackParams:
 
 
 def erm_from_config(cfg: dict) -> ErmParams:
-    section = cfg.get("erm", {})
-    kwargs = {k: section[k] for k in ("lambda_erm", "sigmoid_a", "sigmoid_c", "neighbors") if k in section}
+    kwargs = _typed_params(cfg, "erm", ("neighbors",), ("lambda_erm", "sigmoid_a", "sigmoid_c"))
     try:
         return ErmParams(**kwargs)
     except ValueError as exc:
@@ -175,9 +195,13 @@ def settings_from_config(cfg: dict) -> list[tuple[int, int]]:
     raw = cfg.get("session", {}).get("settings")
     if raw is None:
         return [tuple(s) for s in BUDGET_SETTINGS]
+    if not isinstance(raw, list):
+        raise ConfigError(f"session.settings must be a list of [per_iter, iterations] pairs, got {raw!r}")
     out = []
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2):
             raise ConfigError("session.settings must be a list of [per_iter, iterations] pairs")
-        out.append((int(item[0]), int(item[1])))
+        if not all(type(v) is int and v >= 1 for v in item):
+            raise ConfigError(f"session.settings: per_iter and iterations must be integers >= 1, got {item!r}")
+        out.append((item[0], item[1]))
     return out

@@ -47,7 +47,7 @@ from .evaluation import (
 )
 from .fusion import FusionConfig
 from .index import build_index
-from .retrieval import RankedList, read_run, write_run
+from .retrieval import read_run, write_ranked_ids, write_run
 from .simulation import (
     LM_METHODS,
     EngineContext,
@@ -248,13 +248,8 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
                 _write_json(out_dir / f"chosen_params_{tag}.json", chosen)
             else:
                 results = by_point[()]
-            rankings = [
-                RankedList(query_id=qid, entries=tuple(
-                    (pid, float(len(full) - i)) for i, pid in enumerate(full)))
-                for qid, res in sorted(results.items())
-                for full in [freeze_ranking(res.frozen)]
-            ]
-            write_run(out_dir / f"run_irf_{tag}.txt", rankings, tag=tag)
+            write_ranked_ids(out_dir / f"run_irf_{tag}.txt",
+                             [(qid, freeze_ranking(res.frozen)) for qid, res in sorted(results.items())], tag=tag)
             write_trace(out_dir / f"trace_{tag}.jsonl", list(results.values()))
             per_metric = {m: _frozen_metric(results, engine.qrels, m) for m in metrics}
             _write_per_query_csv(out_dir / f"perquery_{tag}.csv", per_metric)

@@ -14,19 +14,31 @@ Query models are plain {term: probability} dicts (non-negative, summing to
 one), so they serialize directly with ``json.dumps`` for inspection. Pools
 are Passage lists; their term counts are read from the index's forward
 rows, so every pooled passage must be in the index.
+
+Per-passage evidence is computed once and combined in pool order, so an
+estimate is bit for bit the same however warm its caches are:
+  - term counts and tf-idf rows come from the index (``Index.term_counts``,
+    ``Index.tfidf_row``), keyed on passage id and kept as long as the index;
+  - what depends on the query lives in the optional ``cache`` dict that
+    rm3 and erm take. The caller keeps one per query over one index and
+    embedding model (a feedback session keeps it in its memo). It holds
+    log P(Q|D) keyed on (mu, passage id) and ERM's translation likelihood
+    prod_q sum_w T(q|w) P_ml(w|D) keyed on (ErmParams, passage id): one
+    float per passage read per mu or ErmParams, for as long as the caller
+    keeps the cache. Without a cache every call computes afresh.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Passage, Query
 from .embeddings import EmbeddingModel
-from .index import Index, TermVector, collection_prob, query_counts, tfidf_vector
+from .index import Index, TermVector, collection_prob, query_counts
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +146,7 @@ def _interpolate(original: QueryModel, expansion: QueryModel, alpha: float) -> Q
     return _normalize({t: w for t, w in mixed.items() if w > 0.0})
 
 
-def _log_query_likelihood(query: Query, counts: dict[str, int], dlen: int, index: Index, mu: float) -> float:
+def _log_query_likelihood(query: Query, counts: Mapping[str, int], dlen: int, index: Index, mu: float) -> float:
     """Dirichlet-smoothed log P(Q|D) of a passage with these term counts and
     length; collection-unseen terms are skipped."""
     logp = 0.0
@@ -147,12 +159,37 @@ def _log_query_likelihood(query: Query, counts: dict[str, int], dlen: int, index
     return logp
 
 
-def _pool_counts(pool: Sequence[Passage], index: Index) -> list[tuple[dict[str, int], int]]:
+def _pool_counts(pool: Sequence[Passage], index: Index) -> list[tuple[Mapping[str, int], int]]:
     """Each pooled passage's term counts, read from its forward row, and length."""
     return [(index.term_counts(p), len(p.tokens)) for p in pool]
 
 
-def _pool_weighted_model(pool: Sequence[tuple[dict[str, int], int]], doc_weights: np.ndarray) -> dict[str, float]:
+def _evidence(cache: dict | None, key: tuple) -> dict:
+    """The table under ``key`` in the caller's cache, made on first use; a
+    fresh table, kept by no one, without a cache."""
+    if cache is None:
+        return {}
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = {}
+    return table
+
+
+def _pool_log_likelihoods(query: Query, pool: Sequence[Passage], counts: Sequence[tuple[Mapping[str, int], int]],
+                          index: Index, mu: float, cache: dict | None) -> list[float]:
+    """log P(Q|D) of each pooled passage at mu, in pool order, each computed
+    once per cache."""
+    logps = _evidence(cache, ("logp", mu))
+    out = []
+    for passage, (passage_counts, dlen) in zip(pool, counts):
+        logp = logps.get(passage.passage_id)
+        if logp is None:
+            logp = logps[passage.passage_id] = _log_query_likelihood(query, passage_counts, dlen, index, mu)
+        out.append(logp)
+    return out
+
+
+def _pool_weighted_model(pool: Sequence[tuple[Mapping[str, int], int]], doc_weights: np.ndarray) -> dict[str, float]:
     """P(w|R) = sum_D weight(D) * P_ml(w|D) with weights summing to one."""
     model: dict[str, float] = {}
     for (counts, dlen), w in zip(pool, doc_weights):
@@ -171,13 +208,20 @@ def estimate_rm3(
     index: Index,
     params: FeedbackParams,
     mu: float = 1000.0,
+    cache: dict | None = None,
 ) -> QueryModel:
     """Relevance model over the pool, truncated to the top m terms and
-    interpolated with the query MLE by alpha_interp."""
+    interpolated with the query MLE by alpha_interp.
+
+    ``cache`` (see the module docstring) keeps each passage's log P(Q|D)
+    per mu. A query term unseen in the collection is skipped with a warning
+    each time a log P(Q|D) is computed: per pooled passage and call without
+    a cache, once per distinct (passage, mu) with one.
+    """
     if not rel_pool:
         raise ValueError("relevant pool is empty")
     pool = _pool_counts(rel_pool, index)
-    logps = np.array([_log_query_likelihood(query, counts, dlen, index, mu) for counts, dlen in pool])
+    logps = np.array(_pool_log_likelihoods(query, rel_pool, pool, index, mu, cache))
     weights = np.exp(logps - logps.max())
     weights /= weights.sum()
     relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
@@ -205,21 +249,30 @@ def _mixture_em(
     corpus_part = lambda_mix * pc
     nr_part = lambda_nr * pn
     theta = np.full(len(terms), 1.0 / len(terms))
+    # Every iteration writes into these buffers: the same ufuncs on the same
+    # operands as allocating fresh arrays, so the same floats. Adding an
+    # all-zero non-relevant part leaves the mixture as it is, so it is skipped.
+    topic_part, mix, weighted_log = np.empty_like(theta), np.empty_like(theta), np.empty_like(theta)
+    add_nr = bool(nr_part.any())
+    multiply, add, divide, log, total = np.multiply, np.add, np.divide, np.log, np.add.reduce
     prev_ll = None
     for _ in range(max_iters):
-        topic_part = f * theta
-        mix = topic_part + corpus_part
-        mix += nr_part
-        ll = float((c * np.log(mix)).sum())
+        multiply(f, theta, out=topic_part)
+        add(topic_part, corpus_part, out=mix)
+        if add_nr:
+            add(mix, nr_part, out=mix)
+        log(mix, out=weighted_log)
+        multiply(c, weighted_log, out=weighted_log)
+        ll = float(total(weighted_log))
         if prev_ll is not None:
             if not ll - prev_ll >= -1e-9:
                 raise RuntimeError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
             if ll - prev_ll < tol:
                 break
         prev_ll = ll
-        topic_part /= mix  # the responsibilities of the topic
-        theta = c * topic_part
-        theta /= theta.sum()
+        divide(topic_part, mix, out=topic_part)  # the responsibilities of the topic
+        multiply(c, topic_part, out=theta)
+        divide(theta, total(theta), out=theta)
     return dict(zip(terms, theta.tolist()))
 
 
@@ -286,12 +339,12 @@ def rocchio_update(
     if rel_pool and params.rocchio_beta > 0.0:
         scale = params.rocchio_beta / len(rel_pool)
         for passage in rel_pool:
-            for term, w in tfidf_vector(passage, index).items():
+            for term, w in index.tfidf_row(passage).items():
                 updated[term] = updated.get(term, 0.0) + scale * w
     if nr_pool and params.rocchio_gamma > 0.0:
         scale = params.rocchio_gamma / len(nr_pool)
         for passage in nr_pool:
-            for term, w in tfidf_vector(passage, index).items():
+            for term, w in index.tfidf_row(passage).items():
                 updated[term] = updated.get(term, 0.0) - scale * w
     clipped = {t: max(0.0, w) for t, w in updated.items()}
     new_terms = sorted(
@@ -345,6 +398,7 @@ def estimate_erm(
     params: FeedbackParams,
     erm: ErmParams,
     mu: float = 1000.0,
+    cache: dict | None = None,
 ) -> QueryModel:
     """RM3 with P(Q|D) replaced by
     lambda*P_exact(Q|D) + (1-lambda)*prod_q sum_w T(q|w) P_ml(w|D).
@@ -353,6 +407,13 @@ def estimate_erm(
     translation product with a warning. Likelihoods are combined in raw
     probability space, so this suits short queries (topic-description
     length), not paragraph-length ones.
+
+    ``cache`` (see the module docstring) keeps each passage's log P(Q|D)
+    per mu and its translation likelihood per ErmParams. The warnings fire
+    once per distinct computation: the out-of-vocabulary one once per call
+    (a feedback session computes each distinct estimate once), the
+    unseen-term one per pooled passage and call without a cache, and once
+    per distinct (passage, mu) with one.
     """
     if embeddings is None:
         raise ValueError("estimate_erm requires an embedding model")
@@ -365,13 +426,18 @@ def estimate_erm(
     tables = _translation_tables(sorted(set(in_vocab)), embeddings, erm)
 
     pool = _pool_counts(rel_pool, index)
+    logps = _pool_log_likelihoods(query, rel_pool, pool, index, mu, cache)
+    translations = _evidence(cache, ("erm", erm))
     weights = np.zeros(len(rel_pool))
-    for i, (counts, dlen) in enumerate(pool):
-        p_exact = float(np.exp(_log_query_likelihood(query, counts, dlen, index, mu)))
-        p_trans = 1.0
-        for tok in in_vocab:
-            table = tables[tok]
-            p_trans *= sum(tw * counts.get(w, 0) / dlen for w, tw in table.items()) if dlen else 0.0
+    for i, (passage, (counts, dlen), logp) in enumerate(zip(rel_pool, pool, logps)):
+        p_exact = float(np.exp(logp))
+        p_trans = translations.get(passage.passage_id)
+        if p_trans is None:
+            p_trans = 1.0
+            for tok in in_vocab:
+                table = tables[tok]
+                p_trans *= sum(tw * counts.get(w, 0) / dlen for w, tw in table.items()) if dlen else 0.0
+            translations[passage.passage_id] = p_trans
         weights[i] = erm.lambda_erm * p_exact + (1.0 - erm.lambda_erm) * p_trans
     total = weights.sum()
     if total <= 0.0:

@@ -11,12 +11,20 @@ scale differences between feedback methods.
 fused_rank works on index positions. It reads the base list's positions
 and scores as arrays (the base list must be a ranking of the same index) and
 returns positions and fused scores, ordered by one lexsort; passage ids are
-not looked up. For pv/pvc it reads the pool and candidate vectors with one
-fancy index into the trained passage vectors, through a map from index
-position to model row built once per (model, index), and takes the
-candidates' norms from a table built with the map; the vectors are not
-copied. avg_w2v/idf_w2v vectors and norms are computed per call, for the
-pool and candidates only.
+not looked up. For pv/pvc it reads the pool and candidate vectors by fancy
+indexing into the trained passage vectors, through a map from index
+position to model row, and takes the candidates' norms from a table built
+with the map. Both are built once per (model, index) and kept on the model:
+16 bytes per indexed passage. avg_w2v/idf_w2v vectors and norms are
+computed per call.
+
+The pool side of a call, the centroid of the relevant pool's vectors
+(summed row by row in pool order) and its norm, depends only on the pool
+and the mode. A caller that fuses against one pool many times (a feedback
+session, across iterations and grid points) passes a ``cache`` dict, kept
+for one index and embedding model, and the centroid is computed once per
+(relevant pool, mode): one dim-float vector per distinct pool. A call then
+gathers only the candidates' rows.
 """
 
 from __future__ import annotations
@@ -73,6 +81,33 @@ def _pv_rows(model: EmbeddingModel, index: Index) -> tuple[np.ndarray, np.ndarra
     return rows, norms
 
 
+def _pool_centroid(pool: tuple[str, ...], model: EmbeddingModel, mode: str, collection: PassageCollection,
+                   index: Index) -> tuple[np.ndarray, float]:
+    """The centroid of the pool's vectors, summed row by row in pool order as
+    the per-passage reference sums, and its norm; the centroid is read-only."""
+    positions = []
+    for pid in pool:
+        pos = index.id_to_pos.get(pid)
+        if pos is None:
+            raise ValueError(f"relevant-pool passage {pid!r} is not in the index")
+        positions.append(pos)
+    if mode in ("pv", "pvc"):
+        rows, _ = model.cached(("pv", index), lambda: _pv_rows(model, index))
+        rows = rows[positions]
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            raise ValueError(f"passage {pool[missing[0]]!r} was not in the training corpus")
+        vectors = model.passage_vectors[rows]
+    else:
+        vectors = np.stack([_vector_or_zero(collection[pid], model, mode, index) for pid in pool])
+    centroid = np.zeros(model.dim)
+    for vec in vectors:
+        centroid += vec
+    centroid /= len(pool)
+    centroid.setflags(write=False)
+    return centroid, np.linalg.norm(centroid)
+
+
 def fused_rank(
     base: RankedList,
     state: FeedbackState,
@@ -80,6 +115,7 @@ def fused_rank(
     cfg: FusionConfig,
     collection: PassageCollection,
     index: Index,
+    cache: dict | None = None,
 ) -> RankedList:
     """Re-rank the base list by base score + lambda_sf * semantic score,
     ties broken by ascending passage_id.
@@ -89,40 +125,48 @@ def fused_rank(
     raises ValueError. Its positions and scores are read as arrays, and the
     output is a list of positions too. It contains exactly the base list's
     passages. With an empty relevant pool no semantic evidence exists and
-    the base list is returned unchanged. A passage missing from a pv/pvc
-    model raises ValueError.
+    the base list is returned unchanged. A relevant-pool passage missing
+    from the index, or any passage missing from a pv/pvc model, raises
+    ValueError. ``cache`` keeps the pool's centroid (see the module
+    docstring); the fused scores are the same with or without it.
     """
     if base.index_ids is not index.ids:
         raise ValueError(f"fused_rank needs a list ranked over this index; the list of {base.query_id!r} is not")
     if not state.relevant_pool:
         return base
-    pool_size = len(state.relevant_pool)
-    id_to_pos = index.id_to_pos
-    cand = base.positions
-    positions = np.concatenate(([id_to_pos[pid] for pid in state.relevant_pool], cand))
     mode = cfg.representation_mode
+    key = ("centroid", state.relevant_pool, mode)
+    pool_side = cache.get(key) if cache is not None else None
+    if pool_side is None:
+        pool_side = _pool_centroid(state.relevant_pool, model, mode, collection, index)
+        if cache is not None:
+            cache[key] = pool_side
+    centroid, cnorm = pool_side
+    cand = base.positions
     if mode in ("pv", "pvc"):
         rows, row_norms = model.cached(("pv", index), lambda: _pv_rows(model, index))
-        rows = rows[positions]
-        missing = np.flatnonzero(rows < 0)
-        if len(missing):
-            raise ValueError(f"passage {index.ids[positions[missing[0]]]!r} was not in the training corpus")
-        vectors = model.passage_vectors[rows]
+        rows = rows[cand]
         norms = row_norms[cand]
+        ok = norms > 0.0
+        every_row = ok.all()
+        if not every_row:  # an untrained passage has norm 0
+            missing = np.flatnonzero(rows < 0)
+            if len(missing):
+                raise ValueError(f"passage {index.ids[cand[missing[0]]]!r} was not in the training corpus")
+        vectors = model.passage_vectors[rows]
     else:
         ids = index.ids
-        vectors = np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in positions.tolist()])
-        norms = np.linalg.norm(vectors[pool_size:], axis=1)
-    centroid = np.zeros(model.dim)
-    for vec in vectors[:pool_size]:  # row by row in pool order, as the per-passage reference sums
-        centroid += vec
-    centroid /= pool_size
-    vectors = vectors[pool_size:]
-    cnorm = np.linalg.norm(centroid)
-    sims = np.zeros(len(cand))
-    if cnorm > 0.0:
+        vectors = (np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in cand.tolist()])
+                   if len(cand) else np.zeros((0, model.dim)))
+        norms = np.linalg.norm(vectors, axis=1)
         ok = norms > 0.0
-        sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
+        every_row = ok.all()
+    if cnorm > 0.0 and every_row:  # no mask copy: the product runs over the same rows either way
+        sims = vectors @ centroid / (norms * cnorm)
+    else:
+        sims = np.zeros(len(cand))
+        if cnorm > 0.0:
+            sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
     fused = base.scores + cfg.lambda_sf * sims
     order = np.lexsort((index.tie_rank[cand], -fused))
     return RankedList.at_positions(base.query_id, index.ids, cand[order], fused[order])

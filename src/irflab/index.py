@@ -8,16 +8,24 @@ the postings. Collection and document frequencies (cf, df) are arrays
 indexed by term id. Language-model scoring reads them through
 ``collection_prob``, vector-space scoring through ``idf``.
 
-The index also holds two lazily filled, read-only caches for query
-likelihood at Dirichlet mu: ln(|d| + mu) of every passage, and the log
-posting weights of each term scored. For each distinct mu they take at
-most 8 bytes per passage and 8 bytes per posting, whatever the number of
-calls.
+The index also holds lazily filled, read-only caches, none of which
+depends on a query, so they live as long as the index:
+  - for query likelihood at Dirichlet mu, keyed on mu: ln(|d| + mu) of
+    every passage, and keyed on (term, mu) the log posting weights of each
+    term scored. For each distinct mu they take at most 8 bytes per
+    passage and 8 bytes per posting, whatever the number of calls.
+  - for feedback, keyed on passage id: the term counts of each passage a
+    pool has held (``term_counts``) and its tf-idf weights
+    (``tfidf_row``), as read-only mappings. Each takes one small dict per
+    distinct passage read, so its memory is bounded by the passages that
+    feedback has seen, not by the number of calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -49,6 +57,8 @@ class Index:
     tie_rank: np.ndarray = field(repr=False, default=None)  # rank of each position under id-ascending order
     _log_len: dict[float, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     _ql_terms: dict[float, dict[str, tuple]] = field(init=False, repr=False, default_factory=dict)
+    _counts: dict[str, Mapping[str, int]] = field(init=False, repr=False, default_factory=dict)
+    _tfidf_rows: dict[str, Mapping[str, float]] = field(init=False, repr=False, default_factory=dict)
 
     @property
     def avg_doc_len(self) -> float:
@@ -66,13 +76,20 @@ class Index:
             self._log_len[mu] = logs
         return logs
 
+    def ql_terms(self, mu: float) -> dict[str, tuple]:
+        """The entries ``ql_term`` has computed for mu, by term. A caller
+        reads hits here and asks ``ql_term`` for the rest; it must not
+        write."""
+        weights = self._ql_terms.get(mu)
+        if weights is None:
+            weights = self._ql_terms[mu] = {}
+        return weights
+
     def ql_term(self, term: str, mu: float) -> tuple[np.float64, np.ndarray, np.ndarray] | None:
         """(ln(mu p(w|C)), positions, ln(tf + mu p(w|C)) - ln(mu p(w|C))) of
         the term's postings, computed once per (term, mu); None for a term
         absent from the collection. The arrays are read-only."""
-        weights = self._ql_terms.get(mu)
-        if weights is None:
-            weights = self._ql_terms[mu] = {}
+        weights = self.ql_terms(mu)
         entry = weights.get(term)
         if entry is None:
             p_c = collection_prob(self, term)
@@ -93,11 +110,24 @@ class Index:
         lo, hi = self.row_ptr[pos:pos + 2].tolist()
         return self.row_terms[lo:hi], self.row_tfs[lo:hi]
 
-    def term_counts(self, passage: Passage) -> dict[str, int]:
-        """{term: tf} of the passage, read from its forward row in term order."""
-        term_ids, tfs = self.row(passage)
-        terms = self.terms
-        return {terms[t]: tf for t, tf in zip(term_ids.tolist(), tfs.tolist())}
+    def term_counts(self, passage: Passage) -> Mapping[str, int]:
+        """{term: tf} of the passage, read from its forward row in term order
+        on the first call and kept: a read-only mapping."""
+        counts = self._counts.get(passage.passage_id)
+        if counts is None:
+            term_ids, tfs = self.row(passage)
+            terms = self.terms
+            counts = self._counts[passage.passage_id] = MappingProxyType(
+                {terms[t]: tf for t, tf in zip(term_ids.tolist(), tfs.tolist())})
+        return counts
+
+    def tfidf_row(self, passage: Passage) -> Mapping[str, float]:
+        """``tfidf_vector`` of the passage, computed on the first call and
+        kept: a read-only mapping."""
+        row = self._tfidf_rows.get(passage.passage_id)
+        if row is None:
+            row = self._tfidf_rows[passage.passage_id] = MappingProxyType(tfidf_vector(passage, self))
+        return row
 
 
 def build_index(collection: PassageCollection) -> Index:

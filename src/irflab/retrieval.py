@@ -18,9 +18,10 @@ ascending passage_id (the index's tie_rank). Excluded passages never appear
 in the output.
 
 A ranking of depth k with e passages excluded does not sort all n scores.
-np.partition finds the cut, the (k + e)-th highest score. The passages
-above the cut are kept, and of those tied at it the ones first in
-passage_id order, until k + e are kept. Every other passage sorts after all
+np.partition finds the cut, the (k + e)-th highest score, and one pass
+finds the passages at or above it. When more than k + e remain, those above
+the cut are kept, and of those tied at it the ones first in passage_id
+order, until k + e are kept. Every other passage sorts after all
 of these, so sorting them by (-score, tie_rank) gives exactly the first
 k + e entries of the full sort. Dropping the excluded passages among them
 and cutting to k gives the ranking. NaN scores sort last and never reach
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -181,12 +182,14 @@ def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth
         # are equal, which selecting the (n-k)-th smallest of scores does not
         cut = -np.partition(-scores, k - 1)[k - 1]
         if np.isfinite(cut):
-            above = np.flatnonzero(scores > cut)
-            tied = np.flatnonzero(scores == cut)
-            need = k - len(above)
-            if len(tied) > need:  # of the tied passages, the first in id order
+            cand = np.flatnonzero(scores >= cut)
+            if len(cand) > k:  # of the passages tied at the cut, the first in id order
+                cand_scores = scores[cand]
+                above = cand[cand_scores > cut]
+                tied = cand[cand_scores == cut]
+                need = k - len(above)
                 tied = tied[np.argpartition(index.tie_rank[tied], need - 1)[:need]]
-            cand = np.concatenate((above, tied))
+                cand = np.concatenate((above, tied))
     if cand is None:
         cand = np.arange(n)
     order = np.lexsort((index.tie_rank[cand], -scores[cand]))
@@ -208,17 +211,22 @@ def ql_scores(query_model: Mapping[str, float], index: Index, params: RetrievalP
 
     Each term's logs come from ``Index.ql_term``, computed on the first
     call that scores the (term, mu) pair and kept on the index: 8 bytes per
-    posting per distinct mu. A call adds ``weight`` times them, so its
-    scores are bit for bit those of taking the logs afresh.
+    posting per distinct mu. A call looks up mu's entries once and reads
+    each term there, asking ``ql_term`` only for terms not yet scored. It
+    adds ``weight`` times the logs, so its scores are bit for bit those of
+    taking the logs afresh.
     """
     if not query_model:
         raise ValueError("empty query model")
     mu = params.mu
+    cached = index.ql_terms(mu)
     scores = np.zeros(index.passage_count, dtype=np.float64)
     kept_weight = 0.0
     const = 0.0
     for term, weight in query_model.items():
-        entry = index.ql_term(term, mu)
+        entry = cached.get(term)
+        if entry is None:
+            entry = index.ql_term(term, mu)
         if entry is None:
             logger.warning("query term %r unseen in collection; skipped", term)
             continue
@@ -319,6 +327,17 @@ def write_run(path, rankings: Iterable[RankedList], tag: str = "irflab") -> None
         for ranked in rankings:
             for rank, (pid, score) in enumerate(ranked.entries, start=1):
                 fh.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.6f} {tag}\n")
+
+
+def write_ranked_ids(path, rankings: Iterable[tuple[str, Sequence[str]]], tag: str = "irflab") -> None:
+    """Write (query_id, ordered passage ids) pairs in TREC run format. The
+    id at rank r of n gets the score n - r + 1, so scores descend with rank;
+    a list with no scores of its own (a freezing ranking) is written so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for query_id, ids in rankings:
+            n = len(ids)
+            for rank, pid in enumerate(ids, start=1):
+                fh.write(f"{query_id} Q0 {pid} {rank} {float(n - rank + 1):.6f} {tag}\n")
 
 
 def read_run(path) -> dict[str, list[tuple[str, float]]]:

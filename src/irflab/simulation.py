@@ -7,6 +7,18 @@ ranks (iteration i occupies ranks i*N+1 .. (i+1)*N); after the last
 iteration's judgments the final model ranks all remaining candidates as the
 tail. Language-model methods (rm3, distillation, erm) start from Query
 Likelihood; rocchio starts from BM25 and re-ranks by tf-idf dot product.
+
+Sessions that share a memo (one query over one collection, index and
+embedding model) share two kinds of cached work, both exact:
+  - steps (estimates, score arrays, rankings, fusions), keyed on exactly
+    the inputs each reads;
+  - the evidence those steps read per passage or per pool, under the memo's
+    "evidence" dict: log P(Q|D) per (mu, passage), ERM's translation
+    likelihood per (ErmParams, passage), and the relevant pool's centroid
+    per (pool, representation mode). It holds a float per passage read per
+    mu or ErmParams and a vector per distinct pool, and lives as long as
+    the memo. Term counts and tf-idf rows, which depend on no query, are
+    kept by the index (see ``irflab.index``).
 """
 
 from __future__ import annotations
@@ -137,6 +149,11 @@ class _SessionModel:
     ``MappingProxyType``s). The keys leave out what the memo's scope holds
     fixed: the query, the collection, the index and the embedding model.
 
+    Estimators and fusion also get ``evidence``, the memo's cache of
+    per-passage and per-pool work (see the module docstring), so a step
+    that is computed pays only for the passages and pools no earlier step
+    has read.
+
     Only the rows a session reads are ranked: a ranking for a shown block
     that is not fused (no fusion config, or an empty relevant pool) is taken
     at depth ``min(depth, per_iter)``. The tail and every base list that
@@ -152,6 +169,7 @@ class _SessionModel:
         self.method = method
         self.ctx = ctx
         self.memo = memo
+        self.evidence = memo.setdefault("evidence", {})
         self.kind = "lm" if method in LM_METHODS else "vsm"
         self.weights = self._query_weights()
         if not self.weights:
@@ -199,7 +217,8 @@ class _SessionModel:
             raise ValueError("fusion requires an embedding model in the context")
         return self._step(
             ("fused", key, state.relevant_pool, fusion),
-            lambda: fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index),
+            lambda: fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index,
+                               cache=self.evidence),
         )
 
     def reestimate(self, state: FeedbackState) -> None:
@@ -221,7 +240,7 @@ class _SessionModel:
             return
         if self.method == "rm3":
             key = ("rm3", rel, fb, mu)
-            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu)
+            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu, cache=self.evidence)
         elif self.method == "distillation":
             key = ("distillation", rel, nonrel, fb)
             compute = lambda: estimate_distillation(
@@ -231,7 +250,7 @@ class _SessionModel:
                 raise ValueError("erm sessions need ErmParams and an embedding model in the context")
             key = ("erm", rel, fb, ctx.erm, mu)
             compute = lambda: estimate_erm(
-                self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu)
+                self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu, cache=self.evidence)
         else:
             raise ValueError(f"unknown method {self.method!r}")
         self.weights = self._step(key, lambda: MappingProxyType(compute()))

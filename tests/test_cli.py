@@ -138,6 +138,25 @@ class TestRunIrf:
             assert "evaluation.folds" in capsys.readouterr().err
             assert not (out_dir / "chosen_params_rm3_2x2.json").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("session", "depth", 0, "session.depth must be an integer >= 1"),
+        ("session", "depth", "100", "session.depth must be an integer >= 1"),
+        ("session", "settings", [[0, 10]], "per_iter and iterations must be integers >= 1"),
+        ("session", "settings", [[5, 2.0]], "per_iter and iterations must be integers >= 1"),
+        ("feedback", "m", "20", "feedback.m must be an integer"),
+        ("feedback", "alpha_interp", True, "feedback.alpha_interp must be a number"),
+        ("erm", "neighbors", 2.5, "erm.neighbors must be an integer"),
+    ])
+    @pytest.mark.parametrize("command", ["run-irf", "run-onerel"])
+    def test_bad_session_and_feedback_values_exit_2_before_any_work(
+            self, synth_dir, tmp_path, capsys, command, section, key, value, message):
+        out_dir = tmp_path / "out"
+        cfg = experiment_config(synth_dir, out_dir)
+        cfg.setdefault(section, {})[key] = value
+        assert run_cli(command, "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()  # refused before the engine loaded
+
     def test_cv_grid_writes_chosen_params(self, synth_dir, tmp_path):
         out_dir = tmp_path / "out"
         cfg = experiment_config(synth_dir, out_dir)

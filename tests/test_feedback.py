@@ -468,3 +468,41 @@ class TestERM:
         with pytest.raises(ValueError, match="embedding model"):
             estimate_erm(make_query(["a"]), [passage("r", ["a"])], idx, None,
                          FeedbackParams(), ErmParams())
+
+
+@st.composite
+def estimator_cases(draw):
+    """A random collection, query, relevant and non-relevant pools (the
+    latter possibly empty), feedback parameters and an embedding model
+    whose vocabulary misses some collection and query terms."""
+    lists = draw(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=10), min_size=2, max_size=15))
+    coll = make_collection(lists)
+    ids = list(coll.ids)
+    judged = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids), unique=True))
+    cut = draw(st.integers(1, len(judged)))
+    query = make_query(draw(st.lists(st.sampled_from("abcdxy"), min_size=1, max_size=5)))
+    lambda_mix = draw(st.sampled_from([0.0, 0.3, 0.5, 0.8]))
+    params = FeedbackParams(
+        m=draw(st.integers(1, 10)), alpha_interp=draw(st.floats(0.0, 1.0)), lambda_mix=lambda_mix,
+        lambda_nr=draw(st.sampled_from([0.0, 0.05, 0.15])), em_max_iters=draw(st.integers(1, 40)),
+        rocchio_beta=draw(st.floats(0.0, 2.0)), rocchio_gamma=draw(st.floats(0.0, 2.0)))
+    erm = ErmParams(lambda_erm=draw(st.floats(0.0, 1.0)), neighbors=draw(st.integers(1, 6)))
+    vectors = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(5, 3))
+    mu = draw(st.sampled_from([1.0, 50.0, 1000.0]))
+    return (coll, query, [coll[p] for p in judged[:cut]], [coll[p] for p in judged[cut:]], params, erm,
+            toy_embeddings(vectors, terms=list("abcde")), mu)
+
+
+class TestEstimatorOutputs:
+    @settings(max_examples=200, deadline=None)
+    @given(estimator_cases())
+    def test_every_estimate_is_a_query_model(self, case):
+        coll, query, rel, nonrel, params, erm, embeddings, mu = case
+        idx = build_index(coll)
+        cache = {}
+        check_query_model(estimate_rm3(query, rel, idx, params, mu=mu, cache=cache))
+        check_query_model(estimate_erm(query, rel, idx, embeddings, params, erm, mu=mu, cache=cache))
+        check_query_model(estimate_distillation(query, rel, nonrel, idx, params))
+        # rocchio's output is a tf-idf vector, not a distribution: only its sign is bound
+        vec = rocchio_update({t: 1.0 for t in query.tokens}, rel, nonrel, idx, params)
+        assert all(w >= 0.0 for w in vec.values())

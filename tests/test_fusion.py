@@ -253,6 +253,14 @@ class TestFusedRankModes:
             fused_rank(short, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
         assert not caplog.records
 
+    @pytest.mark.parametrize("mode", ["pv", "pvc", "avg_w2v", "idf_w2v"])
+    def test_pool_passage_missing_from_index_is_named(self, mode):
+        coll, idx, model, base = self._setup()
+        state = update_pools(FeedbackState(), [("p000", True), ("zz", True)])
+        for cache in (None, {}):
+            with pytest.raises(ValueError, match="relevant-pool passage 'zz' is not in the index"):
+                fused_rank(base, state, model, FusionConfig(representation_mode=mode), coll, idx, cache=cache)
+
     def test_passage_missing_from_model_raises(self):
         coll, idx, model, base = self._setup()
         partial = model_with_passage_vectors(coll.ids[:3], model.passage_vectors[:3])

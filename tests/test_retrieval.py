@@ -25,6 +25,7 @@ from irflab.retrieval import (
     rank_rocchio,
     read_run,
     rocchio_scores,
+    write_ranked_ids,
     write_run,
 )
 
@@ -525,6 +526,15 @@ class TestRunFiles:
         run = read_run(path)
         assert [pid for pid, _ in run["q1"]] == ["p2", "p1"]
         assert run["q2"][0][1] == pytest.approx(2.0)
+
+    def test_ranked_ids_written_as_the_entries_list_of_descending_scores(self, tmp_path):
+        rankings = [("q2", ("p9", "p1", "p5")), ("q1", ("p3",)), ("q3", ())]
+        by_ids, by_entries = tmp_path / "ids.txt", tmp_path / "entries.txt"
+        write_ranked_ids(by_ids, rankings, tag="t")
+        write_run(by_entries, [RankedList(query_id=qid, entries=tuple(
+            (pid, float(len(ids) - i)) for i, pid in enumerate(ids))) for qid, ids in rankings], tag="t")
+        assert by_ids.read_bytes() == by_entries.read_bytes()
+        assert by_ids.read_text().splitlines()[0] == "q2 Q0 p9 1 3.000000 t"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
