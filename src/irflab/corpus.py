@@ -1,5 +1,11 @@
 """Passage collections, tokenization, document segmentation, and judgments.
 
+Tokens are interned (``sys.intern``) after stopping and stemming, so a
+collection and its queries hold one ``str`` per distinct term however often
+it occurs: token memory is bounded by the number of distinct terms, and the
+token tuples hold only references. Equal tokens are one object, so the
+index's term dicts hash each term once.
+
 File formats:
   corpus   JSON-lines, one object per line: {"id": ..., "doc_id": ..., "text": ...}
   queries  tab-separated "qid<TAB>text"
@@ -13,7 +19,9 @@ import hashlib
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -102,18 +110,19 @@ class TokenizerConfig:
 
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
-    """Lowercase, extract word tokens, drop stopwords, stem."""
+    """Lowercase, extract word tokens, drop stopwords, stem, and intern each
+    token, so equal tokens are one object."""
     tokens = _WORD_RE.findall(text.lower())
     if config.stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
+        tokens = filterfalse(config.stopwords.__contains__, tokens)
     if config.stemming == "s":
-        tokens = [_s_stem(t) for t in tokens]
+        tokens = map(_s_stem, tokens)
     elif config.stemming == "porter":
-        tokens = [_porter_stem(t) for t in tokens]
-    return tokens
+        tokens = map(_porter_stem, tokens)
+    return list(map(sys.intern, tokens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     """A retrieval unit: one answer passage from a parent document."""
 
@@ -199,23 +208,23 @@ def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object, got {type(obj).__name__}")
             for key in ("id", "doc_id", "text"):
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
             pid = str(obj["id"])
             if pid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate passage id {pid!r}")
-            if not pid or any(c.isspace() for c in pid):
+            if pid.split() != [pid]:
                 # whitespace would corrupt the qrels and run-file formats
                 raise ValueError(f"{path}: line {lineno}: passage id {pid!r} must be non-empty and whitespace-free")
+            text = obj["text"]
+            if not isinstance(text, str):
+                raise ValueError(f"{path}: line {lineno}: field 'text' must be a string, got {type(text).__name__}")
             seen.add(pid)
             passages.append(
-                Passage(
-                    passage_id=pid,
-                    doc_id=str(obj["doc_id"]),
-                    text=obj["text"],
-                    tokens=tuple(tokenize(obj["text"], config)),
-                )
+                Passage(passage_id=pid, doc_id=str(obj["doc_id"]), text=text, tokens=tuple(tokenize(text, config)))
             )
     return PassageCollection(passages)
 

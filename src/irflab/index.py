@@ -1,6 +1,9 @@
 """Immutable forward and inverted index with collection statistics.
 
-build_index is the one place that counts terms. Terms get integer ids in
+build_index is the one place that counts terms. ``corpus.tokenize`` interns
+every token, so the term tuple, the dict keys and the passages' token
+tuples share one string per distinct term: term memory is bounded by the
+number of distinct terms, not of tokens. Terms get integer ids in
 sorted-term order, so id order is term-string order. One pass over the
 distinct (passage, term id) pairs gives the forward index, a CSR matrix
 holding each passage's ascending term ids and their tfs, and its transpose,
@@ -24,6 +27,7 @@ depends on a query, so they live as long as the index:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -135,11 +139,12 @@ def build_index(collection: PassageCollection) -> Index:
         raise ValueError("cannot index an empty collection")
     ids = collection.ids
     n = len(ids)
-    doc_len = np.fromiter((len(p.tokens) for p in collection), dtype=np.int64, count=n)
-    terms = tuple(sorted({tok for p in collection for tok in p.tokens}))
+    rows = [p.tokens for p in collection]
+    doc_len = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    terms = tuple(sorted(set(chain.from_iterable(rows))))
     term_ids = {t: i for i, t in enumerate(terms)}
     v = len(terms)
-    token_ids = np.fromiter((term_ids[tok] for p in collection for tok in p.tokens),
+    token_ids = np.fromiter(map(term_ids.__getitem__, chain.from_iterable(rows)),
                             dtype=np.int64, count=int(doc_len.sum()))
     # one sort of passage-major keys yields every row, ascending term ids within it
     keys, row_tfs = np.unique(np.repeat(np.arange(n), doc_len) * v + token_ids, return_counts=True)

@@ -35,8 +35,9 @@ every passage excluded), the general path above decides instead.
 
 A ranking stays in index positions: a RankedList holds positions into an
 ids tuple (the index's; a list built from entries has its own) and their
-scores as two arrays, and fused_rank re-ranks those arrays. Passage ids and
-entries are built only when read, for a shown block, a tail or a run file.
+scores as two arrays, and fused_rank re-ranks those arrays. Passage ids are
+built only when read, for a shown block, a tail or a run file, and entries
+on every read.
 """
 
 from __future__ import annotations
@@ -78,16 +79,20 @@ class RankedList:
     tuple ``index_ids``) and ``scores`` (float64). Rankers and fused_rank
     share the index's ``ids``; ``RankedList(query_id, entries)`` ranks
     positions 0 .. n-1 of the entries' own ids, so fused_rank refuses it.
-    ``entries`` and ``ids()`` are derived on first read and cached. Lists
-    compare and hash by (query_id, entries), however they were built.
+    ``ids()`` is derived on first read and kept (an entries-built list
+    starts with its own ids). ``entries`` is built afresh on every read and
+    not kept, so a list that a writer or checker has read holds no (id,
+    float) tuple per row. Lists compare and hash by (query_id, entries),
+    however they were built.
     """
 
-    __slots__ = ("query_id", "positions", "scores", "index_ids", "_entries", "_ids")
+    __slots__ = ("query_id", "positions", "scores", "index_ids", "_ids")
 
     def __init__(self, query_id: str, entries: Iterable[tuple[str, float]]):
         entries = tuple(entries)
-        self._hold(query_id, tuple([pid for pid, _ in entries]), np.arange(len(entries), dtype=np.int64),
-                   np.array([score for _, score in entries], dtype=np.float64))
+        ids = tuple([pid for pid, _ in entries])
+        self._hold(query_id, ids, np.arange(len(entries), dtype=np.int64),
+                   np.array([score for _, score in entries], dtype=np.float64), ids)
 
     @classmethod
     def at_positions(cls, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray,
@@ -98,7 +103,8 @@ class RankedList:
         ranked._hold(query_id, index_ids, positions, scores)
         return ranked
 
-    def _hold(self, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray, scores: np.ndarray) -> None:
+    def _hold(self, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray, scores: np.ndarray,
+              ids: tuple[str, ...] | None = None) -> None:
         positions.setflags(write=False)
         scores.setflags(write=False)
         _set = object.__setattr__
@@ -106,8 +112,7 @@ class RankedList:
         _set(self, "positions", positions)
         _set(self, "scores", scores)
         _set(self, "index_ids", index_ids)
-        _set(self, "_entries", None)
-        _set(self, "_ids", None)
+        _set(self, "_ids", ids)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RankedList is read-only; cannot set {name!r}")
@@ -117,11 +122,8 @@ class RankedList:
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        entries = self._entries
-        if entries is None:
-            entries = tuple(zip(self.ids(), self.scores.tolist()))
-            object.__setattr__(self, "_entries", entries)
-        return entries
+        """(passage id, score) pairs in rank order, built on each read."""
+        return tuple(zip(self.ids(), self.scores.tolist()))
 
     def ids(self) -> tuple[str, ...]:
         ids = self._ids
@@ -325,7 +327,7 @@ def write_run(path, rankings: Iterable[RankedList], tag: str = "irflab") -> None
     """Write rankings in TREC run format: qid Q0 pid rank score tag."""
     with open(path, "w", encoding="utf-8") as fh:
         for ranked in rankings:
-            for rank, (pid, score) in enumerate(ranked.entries, start=1):
+            for rank, (pid, score) in enumerate(zip(ranked.ids(), ranked.scores.tolist()), start=1):
                 fh.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.6f} {tag}\n")
 
 

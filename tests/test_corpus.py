@@ -1,11 +1,22 @@
 """Tokenization, ingestion, segmentation, and qrels parsing."""
 
+import copy
+import dataclasses
 import json
+import pickle
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irflab.corpus import (
+    STEMMERS,
+    Passage,
     TokenizerConfig,
+    _WORD_RE,
+    _porter_stem,
+    _s_stem,
     ingest_corpus,
     load_qrels,
     load_queries,
@@ -14,6 +25,20 @@ from irflab.corpus import (
     tokenize,
     write_corpus,
 )
+from irflab.index import build_index
+from irflab.stopwords import DEFAULT_STOPWORDS
+
+
+def reference_tokenize(text, config):
+    """The tokenizer before interning, kept as an oracle."""
+    tokens = _WORD_RE.findall(text.lower())
+    if config.stopwords:
+        tokens = [t for t in tokens if t not in config.stopwords]
+    if config.stemming == "s":
+        tokens = [_s_stem(t) for t in tokens]
+    elif config.stemming == "porter":
+        tokens = [_porter_stem(t) for t in tokens]
+    return tokens
 
 
 class TestTokenize:
@@ -58,6 +83,24 @@ class TestTokenize:
         with pytest.raises(ValueError):
             TokenizerConfig(stemming="snowball")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(),
+            # word-heavy text, so stemming and stopping have work to do
+            st.lists(st.sampled_from(["the", "cats", "stories", "running", "nationalization", "a1",
+                                      "Glass", "BUSES", "agreed", "x", "ÉTÉ", "ﬁle", "İs"]))
+            .map(" ".join),
+        ),
+        stemming=st.sampled_from(STEMMERS),
+        stop=st.booleans(),
+    )
+    def test_interned_tokens_equal_the_reference(self, text, stemming, stop):
+        cfg = TokenizerConfig(stopwords=DEFAULT_STOPWORDS if stop else frozenset(), stemming=stemming)
+        tokens = tokenize(text, cfg)
+        assert tokens == reference_tokenize(text, cfg)
+        assert all(tok is sys.intern(tok) for tok in tokens)
+
 
 class TestIngest:
     def _write(self, path, rows):
@@ -96,6 +139,44 @@ class TestIngest:
         with pytest.raises(ValueError, match="whitespace-free"):
             ingest_corpus(path, plain_config)
 
+    @pytest.mark.parametrize("pid", ["", "p\u00a01", "p\u20281", "p\x1f", "p\u30001", "\t"])
+    def test_unicode_whitespace_and_empty_ids_rejected(self, tmp_path, plain_config, pid):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": "p0", "doc_id": "d1", "text": "a"}, {"id": pid, "doc_id": "d1", "text": "a"}])
+        with pytest.raises(ValueError, match=r"c\.jsonl: line 2: .*whitespace-free"):
+            ingest_corpus(path, plain_config)
+
+    @pytest.mark.parametrize("line, kind", [("5", "int"), ('"id doc_id text"', "str"), ("[1, 2]", "list"),
+                                            ("null", "NoneType")])
+    def test_line_that_is_not_an_object_names_path_and_line(self, tmp_path, plain_config, line, kind):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p1", "doc_id": "d", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"c\.jsonl: line 2: expected a JSON object, got {kind}"):
+            ingest_corpus(path, plain_config)
+
+    @pytest.mark.parametrize("text", [7, None, ["a", "b"], {"t": "a"}])
+    def test_non_string_text_names_path_and_line(self, tmp_path, plain_config, text):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": "p1", "doc_id": "d", "text": "x"}, {"id": "p2", "doc_id": "d", "text": text}])
+        with pytest.raises(ValueError, match=r"c\.jsonl: line 2: field 'text' must be a string"):
+            ingest_corpus(path, plain_config)
+
+    def test_equal_tokens_are_one_object_across_passages_queries_and_index(self, tmp_path, plain_config):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [
+            {"id": "p1", "doc_id": "d1", "text": "alpha beta"},
+            {"id": "p2", "doc_id": "d1", "text": "gamma ALPHA alpha"},
+        ])
+        coll = ingest_corpus(path, plain_config)
+        queries_path = tmp_path / "queries.tsv"
+        queries_path.write_text("q1\tbeta alpha\n", encoding="utf-8")
+        (query,) = load_queries(queries_path, plain_config)
+        a1, (_, a2, a3) = coll["p1"].tokens[0], coll["p2"].tokens
+        assert a1 == "alpha" and a1 is a2 is a3 is query.tokens[1]
+        assert coll["p1"].tokens[1] is query.tokens[0]
+        idx = build_index(coll)
+        assert idx.terms[idx.term_ids["alpha"]] is a1
+
     def test_duplicate_id_rejected(self, tmp_path, plain_config):
         path = tmp_path / "c.jsonl"
         self._write(path, [
@@ -126,6 +207,19 @@ class TestIngest:
         again = ingest_corpus(out, plain_config)
         assert again.ids == coll.ids
         assert [p.tokens for p in again] == [p.tokens for p in coll]
+
+
+class TestPassage:
+    def test_slotted_passage_round_trips(self):
+        passage = Passage(passage_id="p1", doc_id="d1", text="cats ran", tokens=("cat", "ran"))
+        assert not hasattr(passage, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(passage)), copy.deepcopy(passage), copy.copy(passage)):
+            assert copied == passage and hash(copied) == hash(passage)
+        moved = dataclasses.replace(passage, passage_id="p2")
+        assert moved == Passage(passage_id="p2", doc_id="d1", text="cats ran", tokens=("cat", "ran"))
+        assert moved.tokens is passage.tokens
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            passage.text = "dogs"
 
 
 class TestSegmentDocument:

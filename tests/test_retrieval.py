@@ -432,7 +432,10 @@ class TestPositionLists:
         for name in ("positions", "scores", "query_id", "entries"):
             with pytest.raises(AttributeError):
                 setattr(ranked, name, None)
-        assert ranked.entries is ranked.entries  # built once, then cached
+        # entries is built on each read and not kept; ids() is kept
+        for _ in range(2):
+            assert ranked.entries == tuple(zip(ranked.ids(), ranked.scores.tolist()))
+        assert "_entries" not in RankedList.__slots__ and not hasattr(ranked, "_entries")
         assert ranked.ids() is ranked.ids()
 
     def test_equality_and_hash_agree_across_constructors(self):
