@@ -210,7 +210,30 @@ def _encode(collection: PassageCollection, vocab: dict[str, int]) -> list[np.nda
 
 def _negative_cdf(freqs: np.ndarray) -> np.ndarray:
     p = freqs**0.75
-    return np.cumsum(p / p.sum())
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0  # a sum rounded below 1 would send a draw above it past the last row
+    return cdf
+
+
+def _negative_buckets(cdf: np.ndarray) -> np.ndarray:
+    """The row of every draw in each of 2^16 equal buckets over [0, 1): the
+    count of cdf entries at or below the bucket's lower edge, or -1 where a
+    cdf entry lies above that edge and at or below the upper one, so that
+    the row depends on the draw. Edges and bucket numbers are exact in
+    float64, because the bucket count is a power of two."""
+    n = 1 << 16
+    edges = np.searchsorted(cdf, np.arange(n + 1) / n, side="right")
+    return np.where(edges[1:] == edges[:-1], edges[:-1], -1).astype(np.int32)
+
+
+def _negative_rows(cdf: np.ndarray, buckets: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, draws, side="right"), one table lookup per draw but
+    for draws in a bucket that holds a cdf entry."""
+    rows = buckets[(draws * len(buckets)).astype(np.int64)]
+    mixed = np.flatnonzero(rows < 0)
+    if len(mixed):
+        rows[mixed] = np.searchsorted(cdf, draws[mixed], side="right")
+    return rows
 
 
 def _layout(seqs: Sequence[np.ndarray], window: int):
@@ -248,6 +271,7 @@ class _Trainer:
         (self.pos_passage, self.pos_target, self.pair_counts,
          self.pair_contexts, self.pair_ptr) = _layout(self.seqs, config.window)
         self.cdf = _negative_cdf(self.freqs)
+        self.negative_buckets = _negative_buckets(self.cdf)
         rng = np.random.default_rng(config.seed)
         v, d = len(self.vocab), config.dim
         self.W = (rng.random((v, d)) - 0.5) / d
@@ -309,7 +333,7 @@ class _Trainer:
         if head:
             rows[starts] = pos_target
             y[starts] = 1.0
-        rows[y == 0.0] = np.searchsorted(self.cdf, draws, side="right")
+        rows[y == 0.0] = _negative_rows(self.cdf, self.negative_buckets, draws)
         row_starts = rows * d  # each row's first element in C.reshape(-1)
         cols = np.arange(d)
         done = self.positions_done

@@ -43,7 +43,9 @@ on every read.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
+from operator import gt
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -343,20 +345,40 @@ def write_ranked_ids(path, rankings: Iterable[tuple[str, Sequence[str]]], tag: s
 
 
 def read_run(path) -> dict[str, list[tuple[str, float]]]:
-    """Read a TREC run file; entries per query ordered by the rank column."""
-    raw: dict[str, list[tuple[int, str, float]]] = {}
+    """Read a TREC run file; entries per query ordered by the rank column,
+    file order among equal ranks.
+
+    The (id, score) rows are the result from the first line on: a query's
+    ranks wait in a 64-bit array and reorder its rows in place only when
+    the file has them out of order, and a file shares one string per
+    distinct passage id. A rank that is not a 64-bit integer or a score
+    that is not a number raises ValueError naming the path and the line.
+    """
+    out: dict[str, list[tuple[str, float]]] = {}
+    ranks: dict[str, array] = {}
+    pids: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             fields = line.split()
+            if not fields:
+                continue
             if len(fields) != 6:
                 raise ValueError(f"{path}: line {lineno}: expected 6 fields, got {len(fields)}")
             qid, _, pid, rank_str, score_str, _ = fields
-            raw.setdefault(qid, []).append((int(rank_str), pid, float(score_str)))
-    out: dict[str, list[tuple[str, float]]] = {}
-    for qid, rows in raw.items():
-        rows.sort(key=lambda r: r[0])
-        out[qid] = [(pid, score) for _, pid, score in rows]
+            rows = out.get(qid)
+            if rows is None:
+                rows = out[qid] = []
+                ranks[qid] = array("q")
+            try:
+                ranks[qid].append(int(rank_str))
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}: line {lineno}: rank {rank_str!r} is not a 64-bit integer") from None
+            try:
+                rows.append((pids.setdefault(pid, pid), float(score_str)))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: score {score_str!r} is not a number") from None
+    for qid, rows in out.items():
+        order = ranks.pop(qid)
+        if any(map(gt, order, order[1:])):
+            rows[:] = [rows[i] for i in sorted(range(len(rows)), key=order.__getitem__)]
     return out

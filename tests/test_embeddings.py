@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irflab.embeddings import (
     EmbeddingModel,
     TrainConfig,
     UnrepresentablePassage,
+    _negative_buckets,
+    _negative_cdf,
+    _negative_rows,
     corrupted_mean,
     cosine,
     load_model,
@@ -40,6 +45,29 @@ def rel_error(a, b):
 
 def repeated_bigram_collection(n=80):
     return make_collection([["x", "y"]] * n)
+
+
+class TestNegativeSampler:
+    def test_cdf_ends_at_one(self):
+        freqs = np.array([7.0, 5.0])  # the cumulative sum rounds to 1 - 2**-53
+        p = freqs**0.75
+        assert np.cumsum(p / p.sum())[-1] < 1.0
+        cdf = _negative_cdf(freqs)
+        assert cdf[-1] == 1.0
+        draw = np.array([np.nextafter(1.0, 0.0)])
+        assert _negative_rows(cdf, _negative_buckets(cdf), draw).tolist() == [1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(freqs=st.lists(st.integers(5, 10**6), min_size=1, max_size=3000), seed=st.integers(0, 2**32 - 1))
+    def test_buckets_equal_searchsorted(self, freqs, seed):
+        cdf = _negative_cdf(np.sort(np.array(freqs, dtype=np.float64))[::-1])
+        draws = np.concatenate((
+            np.random.default_rng(seed).random(2000), [0.0], cdf,
+            np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        ))
+        draws = draws[draws < 1.0]
+        rows = _negative_rows(cdf, _negative_buckets(cdf), draws)
+        assert rows.tolist() == np.searchsorted(cdf, draws, side="right").tolist()
 
 
 class TestGradients:

@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irflab.evaluation import (
     MetricResult,
+    _exhaustive_p,
+    _sampled_p,
+    _threshold,
     assign_folds,
     cross_validate_grid,
     evaluate_ranking,
@@ -183,6 +189,86 @@ class TestFisherRandomization:
         b = {f"q{i}": float(rng.random()) for i in range(n)}
         p = fisher_randomization(a, b, permutations=20_000, seed=3)
         assert 0.0 < p <= 1.0
+
+
+def exhaustive_p_oracle(d):
+    """The exhaustive test as first released: 65,536 assignments per product."""
+    n = len(d)
+    threshold = _threshold(d)
+    count = 0
+    total = 1 << n
+    chunk = 1 << 16
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+        signs = bits.astype(np.float64) * 2.0 - 1.0
+        means = signs @ d / n
+        count += int((np.abs(means) >= threshold).sum())
+    return count / total
+
+
+def sampled_p_oracle(d, permutations, seed):
+    """The sampled test as first released: 20,000 sign rows per product."""
+    n = len(d)
+    threshold = _threshold(d)
+    rng = np.random.default_rng(seed)
+    count = 0
+    remaining = permutations
+    while remaining > 0:
+        block = min(remaining, 20_000)
+        signs = rng.integers(0, 2, size=(block, n)).astype(np.float64) * 2.0 - 1.0
+        means = signs @ d / n
+        count += int((np.abs(means) >= threshold).sum())
+        remaining -= block
+    return (count + 1) / (permutations + 1)
+
+
+# per-topic differences: metric-like floats, drawn with ties from a small pool
+DIFFERENCE = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.125, 0.0, 0.1, 0.25, 1.0 / 3.0]),
+    st.floats(-1.0, 1.0, allow_nan=False),
+)
+# a remainder of 1 after 20,000 rows and after 1,024, several blocks, and 100,000
+PERMUTATIONS = st.one_of(
+    st.sampled_from([1, 2, 1_025, 20_001, 21_025, 25_001, 100_000]),
+    st.integers(1, 60_000),
+)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Sub-blocks and smaller chunks bound the memory; the p-values are the
+    first release's to the last bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 300).flatmap(lambda n: st.lists(DIFFERENCE, min_size=n, max_size=n)),
+           permutations=PERMUTATIONS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_sampled_p_equals_the_oracle(self, d, permutations, seed):
+        d = np.array(d)
+        assert _sampled_p(d, permutations, seed) == sampled_p_oracle(d, permutations, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.lists(DIFFERENCE, min_size=1, max_size=20))
+    def test_exhaustive_p_equals_the_oracle(self, d):
+        d = np.array(d)
+        assert _exhaustive_p(d) == exhaustive_p_oracle(d)
+
+    def test_sampled_test_stays_under_2_mb(self, rng):
+        d = rng.normal(size=50)
+        assert traced_peak(_sampled_p, d, 100_000, 0) < 2_000_000
+
+    def test_exhaustive_test_stays_under_4_mb(self, rng):
+        d = rng.normal(size=20)
+        assert traced_peak(_exhaustive_p, d) < 4_000_000
 
 
 class TestCrossValidation:

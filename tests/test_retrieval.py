@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -516,7 +518,84 @@ class TestScoreFunctions:
             assert repr(ranked.entries) == repr(_take_top(idx, scores, exclude, depth, "q5").entries)
 
 
+def read_run_oracle(path):
+    """read_run as first released: every (rank, id, score) row kept, then a
+    sorted (id, score) copy per query."""
+    raw = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 6:
+                raise ValueError(f"{path}: line {lineno}: expected 6 fields, got {len(fields)}")
+            qid, _, pid, rank_str, score_str, _ = fields
+            raw.setdefault(qid, []).append((int(rank_str), pid, float(score_str)))
+    out = {}
+    for qid, rows in raw.items():
+        rows.sort(key=lambda r: r[0])
+        out[qid] = [(pid, score) for _, pid, score in rows]
+    return out
+
+
+# a run's rows: (query, passage, rank, score), ids shared across queries,
+# ranks repeated and out of order
+RUN_ROWS = st.lists(
+    st.tuples(st.sampled_from(["q1", "q2", "q10"]), st.sampled_from(["p1", "p2", "p3", "d-7"]),
+              st.integers(-3, 2**40), st.floats(allow_nan=False)),
+    max_size=40,
+)
+BLANK_LINES = st.sampled_from(["", " ", "\t \t", "\u3000", "\x0b\x0c"])
+
+
 class TestRunFiles:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=RUN_ROWS, blanks=st.lists(st.tuples(st.integers(0, 40), BLANK_LINES), max_size=5))
+    def test_read_run_equals_the_oracle(self, tmp_path_factory, rows, blanks):
+        lines = [f"{q} Q0 {p} {rank} {score!r} tag" for q, p, rank, score in rows]
+        for at, blank in blanks:
+            lines.insert(at, blank)
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, expected = read_run(path), read_run_oracle(path)
+        assert got == expected
+        assert list(got) == list(expected)  # queries in file order
+
+    def test_one_string_per_passage_id(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 p7 2 0.5 t\nq1 Q0 p7 1 0.9 t\nq2 Q0 p7 1 0.2 t\n")
+        run = read_run(path)
+        assert run == {"q1": [("p7", 0.9), ("p7", 0.5)], "q2": [("p7", 0.2)]}
+        assert run["q1"][0][0] is run["q1"][1][0] is run["q2"][0][0]
+
+    def test_read_run_peaks_under_a_quarter_above_its_result(self, tmp_path):
+        path = tmp_path / "run.txt"
+        with open(path, "w") as fh:
+            for q in range(50):
+                for rank in range(1, 1001):
+                    fh.write(f"q{q} Q0 p{(q * 37 + rank * 11) % 2000:04d} {rank} {1.0 / rank:.6f} tag\n")
+        tracemalloc.start()
+        try:
+            run = read_run(path)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, run.values())) == 50_000
+        assert peak < 1.25 * result
+
+    @pytest.mark.parametrize("line, match", [
+        ("q1 Q0 p1 first 0.5 t", "line 2: rank 'first' is not a 64-bit integer"),
+        ("q1 Q0 p1 1.0 0.5 t", "line 2: rank '1.0' is not a 64-bit integer"),
+        ("q1 Q0 p1 99999999999999999999 0.5 t", "line 2: rank '99999999999999999999' is not a 64-bit"),
+        ("q1 Q0 p1 1 high t", "line 2: score 'high' is not a number"),
+    ])
+    def test_bad_rank_or_score_names_the_line(self, tmp_path, line, match):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 p2 2 0.4 t\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+            read_run(path)
+
     def test_round_trip(self, tmp_path):
         lists = [
             RankedList(query_id="q1", entries=(("p2", 1.5), ("p1", 0.5))),
