@@ -1,9 +1,10 @@
 """Experiment configuration: a single schema-versioned JSON document.
 
-Unknown keys are rejected anywhere in the document so typos fail loudly,
-and the session and feedback values are checked when the document is
-loaded, before any data is read. Grids with more than one point trigger
-cross-validated tuning in run-irf.
+Unknown keys are rejected anywhere in the document so typos fail loudly.
+The session settings, the methods and the type of every number, grid
+entries included, are checked when the document is loaded, before any
+data is read. Grids with more than one point trigger cross-validated
+tuning in run-irf.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ def load_experiment_config(path) -> dict:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    for grid_key, section in (("mu_grid", "retrieval"), ("k1_grid", "retrieval"),
-                              ("m_grid", "feedback"), ("alpha_grid", "feedback"),
-                              ("lambda_grid", "fusion")):
-        values = cfg.get(section, {}).get(grid_key)
-        if values is not None and (not isinstance(values, list) or not values):
-            raise ConfigError(f"{section}.{grid_key} must be a non-empty list")
     folds = cfg.get("evaluation", {}).get("folds")
     if folds is not None and (type(folds) is not int or folds < 2):
         raise ConfigError(f"evaluation.folds must be an integer >= 2, got {folds!r}")
@@ -86,9 +81,35 @@ def load_experiment_config(path) -> dict:
     if depth is not None and (type(depth) is not int or depth < 1):
         raise ConfigError(f"session.depth must be an integer >= 1, got {depth!r}")
     settings_from_config(cfg)
+    retrieval_from_config(cfg)
     feedback_from_config(cfg)
     erm_from_config(cfg)
+    fusion_from_config(cfg)
+    methods_from_config(cfg, "feedback")
+    methods_from_config(cfg, "onerel")
+    _check_grids(cfg)
     return cfg
+
+
+def _check_grids(cfg: dict) -> None:
+    """Each grid is a non-empty list, and each entry passes the check its
+    parameter gets as a single value."""
+    for section, grid, key, build in (
+            ("retrieval", "mu_grid", "mu", retrieval_from_config),
+            ("retrieval", "k1_grid", "k1", retrieval_from_config),
+            ("feedback", "m_grid", "m", feedback_from_config),
+            ("feedback", "alpha_grid", "alpha_interp", feedback_from_config),
+            ("fusion", "lambda_grid", "lambda_sf", fusion_from_config)):
+        values = cfg.get(section, {}).get(grid)
+        if values is None:
+            continue
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{section}.{grid} must be a non-empty list")
+        for value in values:
+            try:
+                build({**cfg, section: {**cfg[section], key: value}})
+            except ConfigError as exc:
+                raise ConfigError(f"{section}.{grid} entry {value!r}: {exc}") from exc
 
 
 def _typed_params(cfg: dict, section_name: str, ints: tuple[str, ...], reals: tuple[str, ...]) -> dict:
@@ -128,13 +149,9 @@ def tokenizer_from_config(cfg: dict) -> TokenizerConfig:
 
 
 def retrieval_from_config(cfg: dict) -> RetrievalParams:
-    section = cfg.get("retrieval", {})
+    kwargs = _typed_params(cfg, "retrieval", (), ("mu", "k1", "b"))
     try:
-        return RetrievalParams(
-            mu=float(section.get("mu", 1000.0)),
-            k1=float(section.get("k1", 1.2)),
-            b=float(section.get("b", 0.75)),
-        )
+        return RetrievalParams(**{key: float(value) for key, value in kwargs.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -158,37 +175,36 @@ def erm_from_config(cfg: dict) -> ErmParams:
 
 
 def fusion_from_config(cfg: dict) -> FusionConfig | None:
-    section = cfg.get("fusion", {})
-    if not section.get("enabled", False):
+    kwargs = _typed_params(cfg, "fusion", (), ("lambda_sf",))
+    if not cfg.get("fusion", {}).get("enabled", False):
         return None
     mode = cfg.get("embeddings", {}).get("representation_mode", "pvc")
     if mode not in REPRESENTATION_MODES:
         raise ConfigError(f"unknown representation_mode {mode!r}")
     try:
-        return FusionConfig(lambda_sf=float(section.get("lambda_sf", 1.0)), representation_mode=mode)
+        return FusionConfig(lambda_sf=float(kwargs.get("lambda_sf", 1.0)), representation_mode=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def methods_from_config(cfg: dict) -> list[str]:
-    methods = cfg.get("feedback", {}).get("methods", ["rm3"])
+def methods_from_config(cfg: dict, section: str = "feedback") -> list[str]:
+    """The methods run-irf (section "feedback") or run-onerel ("onerel") runs."""
+    default, allowed = {"feedback": (["rm3"], RF_METHODS),
+                        "onerel": (["ql", "rm3"], RF_METHODS + BASELINE_METHODS)}[section]
+    methods = cfg.get(section, {}).get("methods", default)
     if isinstance(methods, str):
         methods = [methods]
+    if not isinstance(methods, list):
+        raise ConfigError(f"{section}.methods must be a list of method names, got {methods!r}")
     for method in methods:
-        if method not in RF_METHODS:
-            raise ConfigError(f"unknown feedback method {method!r}; expected one of {RF_METHODS}")
+        if method not in allowed:
+            raise ConfigError(f"unknown {section}.methods entry {method!r}; expected one of {allowed}")
     return list(methods)
 
 
 def onerel_methods_from_config(cfg: dict) -> list[str]:
-    methods = cfg.get("onerel", {}).get("methods", ["ql", "rm3"])
-    if isinstance(methods, str):
-        methods = [methods]
-    allowed = RF_METHODS + BASELINE_METHODS
-    for method in methods:
-        if method not in allowed:
-            raise ConfigError(f"unknown one-rel method {method!r}; expected one of {allowed}")
-    return list(methods)
+    """methods_from_config(cfg, "onerel"), the name the benchmark harness calls."""
+    return methods_from_config(cfg, "onerel")
 
 
 def settings_from_config(cfg: dict) -> list[tuple[int, int]]:

@@ -17,9 +17,10 @@ rate (applying a whole batch's summed gradients at once diverged at lr
 in-vocabulary positions (passage, word, context words); a work unit is a
 slice of the next batch_size positions, which may span passages. A unit's
 random draws, rows and learning rates are laid out once per unit, and each
-position then runs one row kernel, _ns_rows. Training is single-threaded
-and, for a fixed seed, bit-for-bit reproducible. The vocabulary and its
-frequencies come from build_index.
+position then runs one row kernel, _ns_rows (in corrupted mode after
+_corrupted_rep has drawn its passage representation). Training is
+single-threaded and, for a fixed seed, bit-for-bit reproducible. The
+vocabulary and its frequencies come from build_index.
 
 Model files are version-tagged little-endian snapshots; a truncated file or
 one with trailing bytes is rejected with ValueError.
@@ -157,36 +158,18 @@ def _ns_loss(s: np.ndarray, y: np.ndarray) -> float:
     return float(np.logaddexp(0.0, np.where(y > 0.0, -s, s)).sum())
 
 
-def _ns_pair(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray):
-    G = np.vstack((positive[None, :], negatives))
-    y = np.zeros(len(G))
-    y[0] = 1.0
-    s = np.empty(len(G))
-    _, g_c, g_rows = _ns_rows(G, y, 0, None, center, 1.0, s)
-    return _ns_loss(s, y), g_c, g_rows
+def _corrupted_rep(W: np.ndarray, words: np.ndarray, draws: np.ndarray, q: float):
+    """The corrupted passage representation of one optimizer step: each of
+    the passage's words is kept where its draw is below 1 - q, and the kept
+    rows of W are summed and scaled by 1 / ((1 - q) * len(words)), so that
+    its expectation is the plain mean of the words' rows (Chen, ICLR 2017).
 
-
-def ns_pair_loss(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray) -> float:
-    """Scalar negative-sampling loss for one (center, positive, negatives) triple,
-    computed by the row kernel the trainers run."""
-    return _ns_pair(center, positive, negatives)[0]
-
-
-def ns_pair_grads(center: np.ndarray, positive: np.ndarray, negatives: np.ndarray):
-    """Analytic gradients matching ns_pair_loss, as (g_center, g_positive, g_negatives)."""
-    _, g_c, g_rows = _ns_pair(center, positive, negatives)
-    return g_c, g_rows[0], g_rows[1:]
-
-
-def corrupted_mean(vectors: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the unbiased-dropout average: each row kept with
-    probability 1-q and scaled by 1/(1-q), divided by the total row count.
-    Expectation equals the plain row mean."""
-    n = len(vectors)
-    mask = rng.random(n) < (1.0 - q)
-    if not mask.any():
-        return np.zeros(vectors.shape[1])
-    return vectors[mask].sum(axis=0) / ((1.0 - q) * n)
+    Returns (rep, kept, scale): the gradient with respect to rep, times
+    scale, falls on each kept row of W (twice on a word kept twice).
+    """
+    kept = words[draws < (1.0 - q)]
+    scale = 1.0 / ((1.0 - q) * len(words))
+    return W.take(kept, axis=0).sum(axis=0) * scale, kept, scale
 
 
 def _build_vocab(collection: PassageCollection) -> tuple[dict[str, int], np.ndarray]:
@@ -316,10 +299,8 @@ class _Trainer:
             lens = self.seq_lens[pos_passage]
             is_neg = np.repeat(np.tile([False, True], n_pos), np.column_stack((lens, pairs * k)).ravel())
             draws = self.rng.random(len(is_neg))
-            keep = draws[~is_neg] < (1.0 - q)
-            kept = np.concatenate([self.seqs[pi] for pi in pos_passage])[keep]
-            kept_bounds = np.concatenate(([0], np.cumsum(keep)[np.cumsum(lens) - 1])).tolist()
-            rep_scale = (1.0 / ((1.0 - q) * lens)).tolist()
+            mask_draws = draws[~is_neg]
+            mask_bounds = np.concatenate(([0], np.cumsum(lens))).tolist()
             draws = draws[is_neg]
         else:
             draws = self.rng.random(int(pairs.sum()) * k)
@@ -343,7 +324,6 @@ class _Trainer:
         W, C, P = self.W, self.C, self.P
         C_flat = C.reshape(-1)
         scores = np.empty(len(rows))
-        zero = np.zeros(d)
         for i, (a, b, wt, pi, neg_lr) in enumerate(zip(
             starts.tolist(), ends.tolist(), pos_target.tolist(), pos_passage.tolist(),
             (-lrs).tolist(),
@@ -354,8 +334,8 @@ class _Trainer:
             w = W[wt]
             rep = None
             if corrupted:
-                kept_rows = kept[kept_bounds[i]:kept_bounds[i + 1]]
-                rep = W.take(kept_rows, axis=0).sum(axis=0) * rep_scale[i] if len(kept_rows) else zero
+                rep, kept, rep_scale = _corrupted_rep(
+                    W, self.seqs[pi], mask_draws[mask_bounds[i]:mask_bounds[i + 1]], q)
             elif head:
                 rep = P[pi]
             # row gradients first: w and rep are views of W and P
@@ -363,8 +343,7 @@ class _Trainer:
             if b - a > head_rows:
                 w += g_w
             if corrupted:
-                if len(kept_rows):
-                    np.add.at(W, kept_rows, rep_scale[i] * g_rep)
+                np.add.at(W, kept, rep_scale * g_rep)
             elif head:
                 rep += g_rep
             # flat indices: the same element order as 2-D rows, several times faster
@@ -478,9 +457,14 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def _read_block(fh) -> bytes:
+def _read_block(fh) -> np.ndarray:
+    """The next block as a uint8 array, read straight from the file; the
+    vectors loaded from it are views of it, not copies."""
     (n,) = struct.unpack("<Q", _read_exact(fh, 8))
-    return _read_exact(fh, n)
+    data = np.empty(n, dtype=np.uint8)
+    if fh.readinto(data) != n:
+        raise ValueError(f"{fh.name}: truncated model file")
+    return data
 
 
 def save_model(model: EmbeddingModel, path) -> None:
@@ -508,17 +492,17 @@ def load_model(path) -> EmbeddingModel:
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
         _read_block(fh)  # mode string; also present in metadata
-        metadata = json.loads(_read_block(fh).decode("utf-8"))
-        terms = _read_block(fh).decode("utf-8").split("\n")
+        metadata = json.loads(_read_block(fh).tobytes().decode("utf-8"))
+        terms = _read_block(fh).tobytes().decode("utf-8").split("\n")
         if len(terms) != n_vocab:
             raise ValueError(f"{path}: vocabulary size mismatch")
-        word = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim).copy()
-        ctx = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim).copy()
+        word = _read_block(fh).view("<f8").reshape(n_vocab, dim)
+        ctx = _read_block(fh).view("<f8").reshape(n_vocab, dim)
         passage_ids = None
         passage_vectors = None
         if n_passages:
-            passage_ids = tuple(_read_block(fh).decode("utf-8").split("\n"))
-            passage_vectors = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_passages, dim).copy()
+            passage_ids = tuple(_read_block(fh).tobytes().decode("utf-8").split("\n"))
+            passage_vectors = _read_block(fh).view("<f8").reshape(n_passages, dim)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the model data")
     return EmbeddingModel(

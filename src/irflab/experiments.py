@@ -30,7 +30,6 @@ from .config import (
     feedback_from_config,
     fusion_from_config,
     methods_from_config,
-    onerel_methods_from_config,
     retrieval_from_config,
     settings_from_config,
     tokenizer_from_config,
@@ -128,7 +127,7 @@ def _grids_for_method(cfg: dict, method: str, fusion: FusionConfig | None) -> di
     if method == "rocchio" and retrieval.get("k1_grid"):
         grids["k1"] = list(retrieval["k1_grid"])
     if feedback.get("m_grid"):
-        grids["m"] = [int(v) for v in feedback["m_grid"]]
+        grids["m"] = list(feedback["m_grid"])
     if method != "rocchio" and feedback.get("alpha_grid"):
         grids["alpha_interp"] = list(feedback["alpha_grid"])
     if fusion is not None and cfg.get("fusion", {}).get("lambda_grid"):
@@ -144,7 +143,7 @@ def _apply_point(ctx: EngineContext, fusion: FusionConfig | None, point: Mapping
     if "k1" in point:
         retrieval = replace(retrieval, k1=float(point["k1"]))
     if "m" in point:
-        feedback = replace(feedback, m=int(point["m"]))
+        feedback = replace(feedback, m=point["m"])
     if "alpha_interp" in point:
         feedback = replace(feedback, alpha_interp=float(point["alpha_interp"]))
     new_ctx = replace(ctx, retrieval=retrieval, feedback=feedback)
@@ -274,7 +273,7 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     engine = load_engine(cfg)
     out_dir = Path(cfg.get("output_dir", "irflab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = onerel_methods_from_config(cfg)
+    methods = methods_from_config(cfg, "onerel")
     fusion = fusion_from_config(cfg)
     draws = int(cfg.get("onerel", {}).get("draws", 10))
     seed = int(cfg.get("seed", 0))

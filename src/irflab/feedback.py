@@ -16,16 +16,11 @@ are Passage lists; their term counts are read from the index's forward
 rows, so every pooled passage must be in the index.
 
 Per-passage evidence is computed once and combined in pool order, so an
-estimate is bit for bit the same however warm its caches are:
-  - term counts and tf-idf rows come from the index (``Index.term_counts``,
-    ``Index.tfidf_row``), keyed on passage id and kept as long as the index;
-  - what depends on the query lives in the optional ``cache`` dict that
-    rm3 and erm take. The caller keeps one per query over one index and
-    embedding model (a feedback session keeps it in its memo). It holds
-    log P(Q|D) keyed on (mu, passage id) and ERM's translation likelihood
-    prod_q sum_w T(q|w) P_ml(w|D) keyed on (ErmParams, passage id): one
-    float per passage read per mu or ErmParams, for as long as the caller
-    keeps the cache. Without a cache every call computes afresh.
+estimate is bit for bit the same however warm its caches are. Term counts
+and tf-idf rows come from the index; what depends on the query goes in the
+optional ``cache`` dict that rm3 and erm take, one per query over one index
+and embedding model. ``irflab.simulation`` says what it holds and how long
+a session keeps it. Without a cache every call computes afresh.
 """
 
 from __future__ import annotations

@@ -14,11 +14,13 @@ embedding model) share two kinds of cached work, both exact:
     the inputs each reads;
   - the evidence those steps read per passage or per pool, under the memo's
     "evidence" dict: log P(Q|D) per (mu, passage), ERM's translation
-    likelihood per (ErmParams, passage), and the relevant pool's centroid
-    per (pool, representation mode). It holds a float per passage read per
-    mu or ErmParams and a vector per distinct pool, and lives as long as
-    the memo. Term counts and tf-idf rows, which depend on no query, are
-    kept by the index (see ``irflab.index``).
+    likelihood prod_q sum_w T(q|w) P_ml(w|D) per (ErmParams, passage), and
+    the relevant pool's centroid per (pool, representation mode). A step
+    that is computed pays only for the passages and pools no earlier step
+    has read. It holds a float per passage read per mu or ErmParams and a
+    vector per distinct pool, and lives as long as the memo. Term counts
+    and tf-idf rows, which depend on no query, are kept by the index (see
+    ``irflab.index``).
 """
 
 from __future__ import annotations
@@ -150,9 +152,7 @@ class _SessionModel:
     fixed: the query, the collection, the index and the embedding model.
 
     Estimators and fusion also get ``evidence``, the memo's cache of
-    per-passage and per-pool work (see the module docstring), so a step
-    that is computed pays only for the passages and pools no earlier step
-    has read.
+    per-passage and per-pool work (see the module docstring).
 
     Only the rows a session reads are ranked: a ranking for a shown block
     that is not fused (no fusion config, or an empty relevant pool) is taken

@@ -7,10 +7,12 @@ from irflab.corpus import Passage, PassageCollection, Query, TokenizerConfig
 from irflab.index import build_index
 from irflab.retrieval import RankedList
 
-_ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
+_ACCEPTANCE_RESULTS: list[tuple[str, bool | None, str]] = []
 
 
-def record_acceptance(name: str, ok: bool, detail: str = "") -> None:
+def record_acceptance(name: str, ok: bool | None, detail: str = "") -> None:
+    """Record a criterion's result for the summary: PASS, FAIL, or SKIP
+    when ok is None (the criterion could not run)."""
     _ACCEPTANCE_RESULTS.append((name, ok, detail))
 
 
@@ -19,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for name, ok, detail in _ACCEPTANCE_RESULTS:
-        status = "PASS" if ok else "FAIL"
+        status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
         line = f"{status}  {name}"
         if detail:
             line += f"  ({detail})"

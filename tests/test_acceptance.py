@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
-Each test records a PASS/FAIL line that the conftest hook prints in the
-terminal summary. The directional-replication criterion (8) drives the full
-pipeline on ten seeded synthetic corpora and takes a few minutes; the
-full-collection criterion (9) is informational and runs only when
+Each test records a PASS, FAIL or SKIP line that the conftest hook prints
+in the terminal summary. The directional-replication criterion (8) drives
+the full pipeline on ten seeded synthetic corpora and takes a few minutes;
+the full-collection criterion (9) is informational and runs only when
 IRFLAB_WEBAP_DIR / IRFLAB_PSGROBUST_DIR are set.
 """
 
@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from irflab.corpus import Judgments, TokenizerConfig, ingest_corpus, load_qrels, load_queries
-from irflab.embeddings import (
-    TrainConfig,
-    corrupted_mean,
-    ns_pair_grads,
-    ns_pair_loss,
-    train_pv_hdc,
-)
+from irflab.embeddings import TrainConfig, _corrupted_rep, train_pv_hdc
 from irflab.evaluation import evaluate_ranking, fisher_randomization
 from irflab.feedback import (
     ErmParams,
@@ -48,7 +42,7 @@ from irflab.simulation import (
 from irflab.synthgen import GeneratorConfig, generate
 
 from conftest import make_collection, make_query, random_token_lists, ranked_over, record_acceptance
-from test_embeddings import finite_difference, rel_error
+from test_embeddings import corrupted_word_error, ns_rows_errors, position_rows
 from test_evaluation import oracle_metric
 from test_feedback import brute_force_em, toy_embeddings
 
@@ -77,23 +71,23 @@ def test_c1_metric_oracle_equivalence(rng):
 
 
 def test_c2_gradient_checks(rng):
-    """Analytic negative-sampling gradients match central finite differences."""
+    """The trainers' row kernel, _ns_rows, matches central finite differences:
+    word side (head = 0), passage side with a pv vector (head >= 1), and a
+    corrupted representation's gradient as applied to the kept word rows."""
     start = time.time()
     worst = 0.0
-    for _ in range(100):  # word-side (skip-gram center)
-        d = int(rng.integers(3, 12))
-        k = int(rng.integers(1, 8))
-        c, p = rng.normal(size=d), rng.normal(size=d)
-        negs = rng.normal(size=(k, d))
-        g_c, _, _ = ns_pair_grads(c, p, negs)
-        worst = max(worst, rel_error(g_c, finite_difference(lambda x: ns_pair_loss(x, p, negs), c)))
-    for _ in range(100):  # passage-side (doc representation predicts the word)
-        d = int(rng.integers(3, 12))
-        k = int(rng.integers(1, 8))
-        doc, target = rng.normal(size=d), rng.normal(size=d)
-        negs = rng.normal(size=(k, d))
-        g_doc, _, _ = ns_pair_grads(doc, target, negs)
-        worst = max(worst, rel_error(g_doc, finite_difference(lambda x: ns_pair_loss(x, target, negs), doc)))
+    for head_side in (False, True):  # skip-gram rows; pv rows
+        for _ in range(100):
+            d = int(rng.integers(3, 12))
+            k = int(rng.integers(1, 8))
+            head = 1 + k if head_side else 0
+            G, y = position_rows(rng, d, k, int(rng.integers(0 if head else 1, 3)), head)
+            rep = rng.normal(size=d) if head else None
+            worst = max(worst, *ns_rows_errors(G, y, head, rep, rng.normal(size=d)))
+    for _ in range(100):  # pvc: the representation drawn by _corrupted_rep
+        q = float(rng.choice([0.0, 0.5, 0.9]))
+        worst = max(worst, corrupted_word_error(rng, int(rng.integers(3, 8)), int(rng.integers(1, 5)),
+                                                int(rng.integers(0, 3)), q))
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 30.0
     record_acceptance("2 gradient checks", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -253,14 +247,15 @@ def test_c6_fisher_exactness(rng):
 
 
 def test_c7_pvc_unbiasedness():
-    """Mean of 10,000 corrupted representations within 1% of the plain mean
-    (q=0.9, dim 100)."""
+    """Mean of 10,000 corrupted representations, drawn by the trainer's
+    _corrupted_rep, within 1% of the plain mean (q=0.9, dim 100)."""
     rng = np.random.default_rng(99)
     vectors = rng.uniform(0.5, 1.5, size=(40, 100))
+    words = np.arange(40)
     draw_rng = np.random.default_rng(7)
     total = np.zeros(100)
     for _ in range(10_000):
-        total += corrupted_mean(vectors, q=0.9, rng=draw_rng)
+        total += _corrupted_rep(vectors, words, draw_rng.random(40), q=0.9)[0]
     empirical = total / 10_000
     target = vectors.mean(axis=0)
     rel = float(np.linalg.norm(empirical - target) / np.linalg.norm(target))
@@ -288,12 +283,15 @@ def _mean_map(queries, qrels, scfg, ctx):
 def test_c8_directional_replication():
     """On ten seeded synthetic corpora: every feedback method beats its base
     retrieval; 1x10 is at least as good as 10x1 for RM3 and Rocchio on
-    average; fused RM3 with tuned lambda beats plain RM3 on >= 8 seeds."""
+    average; fused RM3 at 5x2 is at least as good as plain RM3 and better
+    than ERM, the term-level semantic method, on >= 8 seeds each. Fused
+    RM3's lambda is the best of LAMBDA_GRID_8 on the evaluated queries."""
     start = time.time()
     methods = ("rm3", "distillation", "rocchio", "erm")
     beats_failures = []
     by_setting = {m: {"10x1": [], "1x10": []} for m in methods}
     fusion_wins = 0
+    erm_wins = 0
     for seed in range(10):
         coll, queries, qrels = generate(GeneratorConfig(seed=seed))
         idx = build_index(coll)
@@ -326,20 +324,25 @@ def test_c8_directional_replication():
         )
         if fused_best >= plain:
             fusion_wins += 1
+        erm = _mean_map(queries, qrels,
+                        SessionConfig(per_iter=5, iterations=2, rf_method="erm"), ctx)
+        if fused_best > erm:
+            erm_wins += 1
     iter_ok = all(
         np.mean(by_setting[m]["1x10"]) >= np.mean(by_setting[m]["10x1"])
         for m in ("rm3", "rocchio")
     )
     elapsed = time.time() - start
-    ok = not beats_failures and iter_ok and fusion_wins >= 8 and elapsed < 900.0
+    ok = not beats_failures and iter_ok and fusion_wins >= 8 and erm_wins >= 8 and elapsed < 900.0
     detail = (f"beats-base failures {len(beats_failures)}, "
               f"rm3 10x1->1x10 {np.mean(by_setting['rm3']['10x1']):.4f}->{np.mean(by_setting['rm3']['1x10']):.4f}, "
               f"rocchio {np.mean(by_setting['rocchio']['10x1']):.4f}->{np.mean(by_setting['rocchio']['1x10']):.4f}, "
-              f"fusion wins {fusion_wins}/10, {elapsed:.0f}s")
+              f"fusion wins {fusion_wins}/10, over erm {erm_wins}/10, {elapsed:.0f}s")
     record_acceptance("8 directional replication", ok, detail)
     assert not beats_failures, beats_failures[:4]
     assert iter_ok
     assert fusion_wins >= 8
+    assert erm_wins >= 8
     assert elapsed < 900.0
 
 
@@ -356,8 +359,7 @@ def test_c9_full_collection_reproduction(collection_name):
     env = f"IRFLAB_{collection_name.upper()}_DIR"
     root = os.environ.get(env)
     if not root:
-        record_acceptance(f"9 full reproduction ({collection_name})", True,
-                          f"skipped: {env} not set")
+        record_acceptance(f"9 full reproduction ({collection_name})", None, f"{env} not set")
         pytest.skip(f"{env} not set")
     root = Path(root)
     tokenizer = TokenizerConfig()

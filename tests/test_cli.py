@@ -146,6 +146,16 @@ class TestRunIrf:
         ("feedback", "m", "20", "feedback.m must be an integer"),
         ("feedback", "alpha_interp", True, "feedback.alpha_interp must be a number"),
         ("erm", "neighbors", 2.5, "erm.neighbors must be an integer"),
+        ("retrieval", "mu", True, "retrieval.mu must be a number"),
+        ("retrieval", "mu", "300", "retrieval.mu must be a number"),
+        ("fusion", "lambda_sf", True, "fusion.lambda_sf must be a number"),
+        ("retrieval", "mu_grid", [300.0, True, "x"], "retrieval.mu_grid entry True: retrieval.mu must be a number"),
+        ("retrieval", "mu_grid", [300.0, -5.0], "retrieval.mu_grid entry -5.0: mu must be > 0"),
+        ("feedback", "m_grid", [5, 2.5], "feedback.m_grid entry 2.5: feedback.m must be an integer"),
+        ("feedback", "alpha_grid", ["0.5"], "feedback.alpha_grid entry '0.5': feedback.alpha_interp must be a number"),
+        ("fusion", "lambda_grid", [], "fusion.lambda_grid must be a non-empty list"),
+        ("feedback", "methods", ["rm3", "bm25"], "unknown feedback.methods entry 'bm25'"),
+        ("onerel", "methods", "rm4", "unknown onerel.methods entry 'rm4'"),
     ])
     @pytest.mark.parametrize("command", ["run-irf", "run-onerel"])
     def test_bad_session_and_feedback_values_exit_2_before_any_work(

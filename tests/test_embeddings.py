@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irflab.embeddings import (
+    MODEL_MAGIC,
     EmbeddingModel,
     TrainConfig,
     UnrepresentablePassage,
+    _corrupted_rep,
     _negative_buckets,
     _negative_cdf,
     _negative_rows,
-    corrupted_mean,
+    _ns_loss,
+    _ns_rows,
     cosine,
     load_model,
-    ns_pair_grads,
-    ns_pair_loss,
     passage_vector,
     save_model,
     train_pv_hdc,
@@ -41,6 +42,65 @@ def finite_difference(f, x, h=1e-6):
 def rel_error(a, b):
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
+
+
+def ns_loss_at(G, y, head, rep, w):
+    """The loss _ns_rows differentiates, at these parameters."""
+    s = np.empty(len(G))
+    _ns_rows(G, y, head, rep, w, 1.0, s)
+    return _ns_loss(s, y)
+
+
+def position_rows(rng, d, k, n_contexts, head):
+    """One target position's rows laid out as the trainer lays them: with a
+    passage side (head = 1 + k), the observed word and k negatives, then the
+    n_contexts context words and n_contexts * k negatives. Returns (G, y)."""
+    y = np.zeros(head + n_contexts * (1 + k))
+    if head:
+        y[0] = 1.0
+    y[head:head + n_contexts] = 1.0
+    return rng.normal(size=(len(y), d)), y
+
+
+def ns_rows_errors(G, y, head, rep, w):
+    """Relative errors of _ns_rows' gradients of rep (when head >= 1), of w
+    and of G, all rows together, against central finite differences of the
+    loss."""
+    g_rep, g_w, g_rows = _ns_rows(G, y, head, rep, w, 1.0, np.empty(len(G)))
+    errors = [
+        rel_error(g_w, finite_difference(lambda x: ns_loss_at(G, y, head, rep, x), w)),
+        rel_error(g_rows.ravel(), finite_difference(
+            lambda x: ns_loss_at(x.reshape(G.shape), y, head, rep, w), G.ravel())),
+    ]
+    if head:
+        errors.append(rel_error(g_rep, finite_difference(lambda x: ns_loss_at(G, y, head, x, w), rep)))
+    return errors
+
+
+def corrupted_word_error(rng, d, k, n_contexts, q):
+    """Relative error of the word-vector gradient of one corrupted-mode
+    position, applied as the trainer applies it (g_w to the observed word's
+    row, scale * g_rep to each kept row of the passage), against central
+    finite differences over every entry of W."""
+    v = 8
+    W = rng.normal(size=(v, d))
+    words = rng.integers(0, v, size=int(rng.integers(1, 12)))
+    draws = rng.random(len(words))
+    draws[0] = 0.0  # at least one kept word, so rep depends on W
+    wt = int(words[0])
+    head = 1 + k
+    G, y = position_rows(rng, d, k, n_contexts, head)
+
+    def loss(flat):
+        W_ = flat.reshape(v, d)
+        return ns_loss_at(G, y, head, _corrupted_rep(W_, words, draws, q)[0], W_[wt])
+
+    rep, kept, scale = _corrupted_rep(W, words, draws, q)
+    g_rep, g_w, _ = _ns_rows(G, y, head, rep, W[wt], 1.0, np.empty(len(G)))
+    applied = np.zeros_like(W)
+    applied[wt] += g_w
+    np.add.at(applied, kept, scale * g_rep)
+    return rel_error(applied.ravel(), finite_difference(loss, W.ravel()))
 
 
 def repeated_bigram_collection(n=80):
@@ -72,34 +132,34 @@ class TestNegativeSampler:
 
 class TestGradients:
     def test_center_gradient_matches_finite_differences(self, rng):
+        # skip-gram: no passage side, every row scored against the word
         for _ in range(20):
-            d, k = 6, 4
-            c = rng.normal(size=d)
-            p = rng.normal(size=d)
-            negs = rng.normal(size=(k, d))
-            g_c, _, _ = ns_pair_grads(c, p, negs)
-            fd = finite_difference(lambda x: ns_pair_loss(x, p, negs), c)
-            assert rel_error(g_c, fd) < 1e-4
+            G, y = position_rows(rng, d=6, k=4, n_contexts=1, head=0)
+            w = rng.normal(size=6)
+            g_w = _ns_rows(G, y, 0, None, w, 1.0, np.empty(len(G)))[1]
+            fd = finite_difference(lambda x: ns_loss_at(G, y, 0, None, x), w)
+            assert rel_error(g_w, fd) < 1e-4
 
     def test_positive_and_negative_gradients(self, rng):
         for _ in range(10):
-            d, k = 5, 3
-            c = rng.normal(size=d)
-            p = rng.normal(size=d)
-            negs = rng.normal(size=(k, d))
-            _, g_p, g_n = ns_pair_grads(c, p, negs)
-            fd_p = finite_difference(lambda x: ns_pair_loss(c, x, negs), p)
-            assert rel_error(g_p, fd_p) < 1e-4
-            for j in range(k):
-                def f(x, j=j):
-                    m = negs.copy()
-                    m[j] = x
-                    return ns_pair_loss(c, p, m)
-                assert rel_error(g_n[j], finite_difference(f, negs[j])) < 1e-4
+            G, y = position_rows(rng, d=5, k=3, n_contexts=int(rng.integers(1, 3)), head=0)
+            assert max(ns_rows_errors(G, y, 0, None, rng.normal(size=5))) < 1e-4
+
+    def test_passage_side_gradients_match_finite_differences(self, rng):
+        # pv: head rows (observed word and its negatives) scored against the
+        # passage vector, context rows against the word; no contexts too
+        for n_contexts in (0, 1, 2, 0, 1, 2):
+            G, y = position_rows(rng, d=5, k=3, n_contexts=n_contexts, head=4)
+            assert max(ns_rows_errors(G, y, 4, rng.normal(size=5), rng.normal(size=5))) < 1e-4
+
+    def test_corrupted_rep_gradient_on_kept_word_rows(self, rng):
+        for q in (0.0, 0.5, 0.9, 0.5, 0.9):
+            assert corrupted_word_error(rng, d=4, k=2, n_contexts=int(rng.integers(0, 3)), q=q) < 1e-4
 
     def test_loss_is_positive_and_finite(self, rng):
         for _ in range(20):
-            loss = ns_pair_loss(rng.normal(size=4), rng.normal(size=4), rng.normal(size=(2, 4)))
+            G, y = position_rows(rng, d=4, k=2, n_contexts=1, head=3)
+            loss = ns_loss_at(G, y, 3, rng.normal(size=4), rng.normal(size=4))
             assert np.isfinite(loss) and loss > 0.0
 
 
@@ -166,15 +226,18 @@ class TestPvHdc:
 
     def test_corruption_q_zero_matches_plain_mean_at_update_time(self, rng):
         vectors = rng.normal(size=(7, 5))
-        rep = corrupted_mean(vectors, q=0.0, rng=np.random.default_rng(0))
-        assert rep == pytest.approx(vectors.mean(axis=0), abs=1e-12)
+        words = np.array([0, 3, 3, 6, 1])  # a repeated word counts each time
+        rep, kept, scale = _corrupted_rep(vectors, words, np.random.default_rng(0).random(5), q=0.0)
+        assert rep == pytest.approx(vectors[words].mean(axis=0), abs=1e-12)
+        assert kept.tolist() == words.tolist() and scale == 1.0 / 5
 
     def test_corrupted_mean_is_unbiased(self, rng):
         # offset entries keep the target norm well away from zero, so the
         # relative error reflects bias rather than cancellation noise
         vectors = rng.uniform(0.5, 1.5, size=(30, 8))
+        words = np.arange(30)
         draws = np.stack([
-            corrupted_mean(vectors, q=0.9, rng=rng) for _ in range(20_000)
+            _corrupted_rep(vectors, words, rng.random(30), q=0.9)[0] for _ in range(20_000)
         ])
         mean = draws.mean(axis=0)
         target = vectors.mean(axis=0)
@@ -200,15 +263,13 @@ class TestPvHdc:
         assert err_unscaled > 0.5
 
     def test_doc_vector_gradient_matches_finite_differences(self, rng):
-        # step one of the passage-side update is the negative-sampling loss
-        # with the doc representation as the center vector
+        # step one of the passage-side update: the observed word and its
+        # negatives scored against the doc representation (the head rows)
         for _ in range(15):
-            d, k = 6, 5
-            doc = rng.normal(size=d)
-            target = rng.normal(size=d)
-            negs = rng.normal(size=(k, d))
-            g_doc, _, _ = ns_pair_grads(doc, target, negs)
-            fd = finite_difference(lambda x: ns_pair_loss(x, target, negs), doc)
+            G, y = position_rows(rng, d=6, k=5, n_contexts=0, head=6)
+            doc, w = rng.normal(size=6), rng.normal(size=6)
+            g_doc = _ns_rows(G, y, 6, doc, w, 1.0, np.empty(len(G)))[0]
+            fd = finite_difference(lambda x: ns_loss_at(G, y, 6, x, w), doc)
             assert rel_error(g_doc, fd) < 1e-4
 
     def test_deterministic_reproducibility(self):
@@ -306,6 +367,8 @@ class TestModelIO:
         assert np.array_equal(loaded.passage_vectors, model.passage_vectors)
         assert loaded.passage_ids == model.passage_ids
         assert loaded.metadata["mode"] == "pv_hdc_corrupted"
+        for vectors in (loaded.word_vectors, loaded.context_vectors, loaded.passage_vectors):
+            assert vectors.flags.writeable and vectors.dtype == np.float64
 
     def test_save_bytes_deterministic(self, tmp_path):
         coll = repeated_bigram_collection(20)
@@ -335,10 +398,14 @@ class TestModelIO:
         cut = tmp_path / "cut.bin"
         for size in range(len(data)):
             cut.write_bytes(data[:size])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="truncated" if size >= len(MODEL_MAGIC) else "not an embedding"):
                 load_model(cut)
         cut.write_bytes(data + bytes(16))
         with pytest.raises(ValueError, match="trailing bytes"):
+            load_model(cut)
+        # a header dimension the vector blocks do not hold
+        cut.write_bytes(data[:10] + (5).to_bytes(4, "little") + data[14:])
+        with pytest.raises(ValueError):
             load_model(cut)
 
     def test_default_config_matches_training_protocol(self):
