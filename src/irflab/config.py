@@ -85,8 +85,8 @@ def load_experiment_config(path) -> dict:
     feedback_from_config(cfg)
     erm_from_config(cfg)
     fusion_from_config(cfg)
-    methods_from_config(cfg, "feedback")
-    methods_from_config(cfg, "onerel")
+    methods_from_config(cfg)
+    onerel_methods_from_config(cfg)
     _check_grids(cfg)
     return cfg
 
@@ -187,10 +187,7 @@ def fusion_from_config(cfg: dict) -> FusionConfig | None:
         raise ConfigError(str(exc)) from exc
 
 
-def methods_from_config(cfg: dict, section: str = "feedback") -> list[str]:
-    """The methods run-irf (section "feedback") or run-onerel ("onerel") runs."""
-    default, allowed = {"feedback": (["rm3"], RF_METHODS),
-                        "onerel": (["ql", "rm3"], RF_METHODS + BASELINE_METHODS)}[section]
+def _methods(cfg: dict, section: str, default: list[str], allowed: tuple[str, ...]) -> list[str]:
     methods = cfg.get(section, {}).get("methods", default)
     if isinstance(methods, str):
         methods = [methods]
@@ -202,9 +199,12 @@ def methods_from_config(cfg: dict, section: str = "feedback") -> list[str]:
     return list(methods)
 
 
+def methods_from_config(cfg: dict) -> list[str]:
+    return _methods(cfg, "feedback", ["rm3"], RF_METHODS)
+
+
 def onerel_methods_from_config(cfg: dict) -> list[str]:
-    """methods_from_config(cfg, "onerel"), the name the benchmark harness calls."""
-    return methods_from_config(cfg, "onerel")
+    return _methods(cfg, "onerel", ["ql", "rm3"], RF_METHODS + BASELINE_METHODS)
 
 
 def settings_from_config(cfg: dict) -> list[tuple[int, int]]:

@@ -450,21 +450,18 @@ def _write_block(fh, payload: bytes) -> None:
     fh.write(payload)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{fh.name}: truncated model file")
-    return data
-
-
-def _read_block(fh) -> np.ndarray:
-    """The next block as a uint8 array, read straight from the file; the
-    vectors loaded from it are views of it, not copies."""
-    (n,) = struct.unpack("<Q", _read_exact(fh, 8))
-    data = np.empty(n, dtype=np.uint8)
+def _read_exact(fh, n: int) -> bytearray:
+    """The next n bytes, read straight into a mutable buffer: the vectors
+    loaded from a block are writable views of it, not copies."""
+    data = bytearray(n)
     if fh.readinto(data) != n:
         raise ValueError(f"{fh.name}: truncated model file")
     return data
+
+
+def _read_block(fh) -> bytearray:
+    (n,) = struct.unpack("<Q", _read_exact(fh, 8))
+    return _read_exact(fh, n)
 
 
 def save_model(model: EmbeddingModel, path) -> None:
@@ -492,17 +489,17 @@ def load_model(path) -> EmbeddingModel:
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
         _read_block(fh)  # mode string; also present in metadata
-        metadata = json.loads(_read_block(fh).tobytes().decode("utf-8"))
-        terms = _read_block(fh).tobytes().decode("utf-8").split("\n")
+        metadata = json.loads(_read_block(fh).decode("utf-8"))
+        terms = _read_block(fh).decode("utf-8").split("\n")
         if len(terms) != n_vocab:
             raise ValueError(f"{path}: vocabulary size mismatch")
-        word = _read_block(fh).view("<f8").reshape(n_vocab, dim)
-        ctx = _read_block(fh).view("<f8").reshape(n_vocab, dim)
+        word = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim)
+        ctx = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim)
         passage_ids = None
         passage_vectors = None
         if n_passages:
-            passage_ids = tuple(_read_block(fh).tobytes().decode("utf-8").split("\n"))
-            passage_vectors = _read_block(fh).view("<f8").reshape(n_passages, dim)
+            passage_ids = tuple(_read_block(fh).decode("utf-8").split("\n"))
+            passage_vectors = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_passages, dim)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the model data")
     return EmbeddingModel(

@@ -30,6 +30,7 @@ from .config import (
     feedback_from_config,
     fusion_from_config,
     methods_from_config,
+    onerel_methods_from_config,
     retrieval_from_config,
     settings_from_config,
     tokenizer_from_config,
@@ -273,7 +274,7 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     engine = load_engine(cfg)
     out_dir = Path(cfg.get("output_dir", "irflab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = methods_from_config(cfg, "onerel")
+    methods = onerel_methods_from_config(cfg)
     fusion = fusion_from_config(cfg)
     draws = int(cfg.get("onerel", {}).get("draws", 10))
     seed = int(cfg.get("seed", 0))

@@ -64,16 +64,18 @@ def position_rows(rng, d, k, n_contexts, head):
 
 def ns_rows_errors(G, y, head, rep, w):
     """Relative errors of _ns_rows' gradients of rep (when head >= 1), of w
-    and of G, all rows together, against central finite differences of the
-    loss."""
+    and of each row of G, against central finite differences of the loss.
+    A row enters only its own loss term, so each row is differenced on that
+    term alone: the other rows' terms would add rounding to the quotient
+    that swamps the small gradient of a row whose sigmoid saturates."""
     g_rep, g_w, g_rows = _ns_rows(G, y, head, rep, w, 1.0, np.empty(len(G)))
-    errors = [
-        rel_error(g_w, finite_difference(lambda x: ns_loss_at(G, y, head, rep, x), w)),
-        rel_error(g_rows.ravel(), finite_difference(
-            lambda x: ns_loss_at(x.reshape(G.shape), y, head, rep, w), G.ravel())),
-    ]
+    errors = [rel_error(g_w, finite_difference(lambda x: ns_loss_at(G, y, head, rep, x), w))]
     if head:
         errors.append(rel_error(g_rep, finite_difference(lambda x: ns_loss_at(G, y, head, x, w), rep)))
+    for j, row in enumerate(G):
+        row_head = int(j < head)
+        errors.append(rel_error(g_rows[j], finite_difference(
+            lambda x: ns_loss_at(x[None, :], y[j:j + 1], row_head, rep, w), row)))
     return errors
 
 
@@ -141,9 +143,17 @@ class TestGradients:
             assert rel_error(g_w, fd) < 1e-4
 
     def test_positive_and_negative_gradients(self, rng):
+        # each row on its own: a small row gradient is not hidden by a large one
         for _ in range(10):
-            G, y = position_rows(rng, d=5, k=3, n_contexts=int(rng.integers(1, 3)), head=0)
-            assert max(ns_rows_errors(G, y, 0, None, rng.normal(size=5))) < 1e-4
+            w = rng.normal(size=5)
+            G, y = position_rows(rng, d=5, k=3, n_contexts=1, head=0)
+            g_rows = _ns_rows(G, y, 0, None, w, 1.0, np.empty(len(G)))[2]
+            for j in range(len(G)):
+                def f(x, j=j):
+                    G_ = G.copy()
+                    G_[j] = x
+                    return ns_loss_at(G_, y, 0, None, w)
+                assert rel_error(g_rows[j], finite_difference(f, G[j])) < 1e-4
 
     def test_passage_side_gradients_match_finite_differences(self, rng):
         # pv: head rows (observed word and its negatives) scored against the
@@ -368,7 +378,7 @@ class TestModelIO:
         assert loaded.passage_ids == model.passage_ids
         assert loaded.metadata["mode"] == "pv_hdc_corrupted"
         for vectors in (loaded.word_vectors, loaded.context_vectors, loaded.passage_vectors):
-            assert vectors.flags.writeable and vectors.dtype == np.float64
+            assert vectors.flags.writeable and vectors.flags.aligned and vectors.dtype == np.float64
 
     def test_save_bytes_deterministic(self, tmp_path):
         coll = repeated_bigram_collection(20)
