@@ -1,10 +1,11 @@
 """Experiment configuration: a single schema-versioned JSON document.
 
 Unknown keys are rejected anywhere in the document so typos fail loudly.
-The session settings, the methods and the type of every number, grid
-entries included, are checked when the document is loaded, before any
-data is read. Grids with more than one point trigger cross-validated
-tuning in run-irf.
+The session settings, the methods, the metrics and the type of every
+number, grid entries included, are checked when the document is loaded,
+before any data is read. ``TUNING_GRIDS`` says which grid tunes which
+parameter of which methods; grids with more than one point trigger
+cross-validated tuning in run-irf.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import json
 from pathlib import Path
 
 from .corpus import TokenizerConfig
-from .embeddings import REPRESENTATION_MODES
+from .evaluation import METRICS
 from .feedback import ErmParams, FeedbackParams
 from .fusion import FusionConfig
 from .retrieval import RetrievalParams
-from .simulation import BASELINE_METHODS, BUDGET_SETTINGS, RF_METHODS
+from .simulation import BASELINE_METHODS, BUDGET_SETTINGS, LM_METHODS, RF_METHODS, VSM_METHODS
 from .stopwords import DEFAULT_STOPWORDS
 
 SCHEMA_VERSION = 1
@@ -27,25 +28,37 @@ class ConfigError(ValueError):
     """Configuration problem; maps to exit code 2 in the CLI."""
 
 
+# A leaf's kind: int (an integer; (int, low) one >= low), float (any number,
+# read as a float) or bool. None leaves are checked by the code that reads them.
 _SCHEMA: dict = {
     "schema_version": None,
-    "seed": None,
+    "seed": (int, 0),
     "output_dir": None,
     "corpus": {"passages": None, "queries": None, "qrels": None},
     "tokenizer": {"stopwords": None, "stemming": None},
-    "retrieval": {"mu": None, "k1": None, "b": None, "mu_grid": None, "k1_grid": None},
+    "retrieval": {"mu": float, "k1": float, "b": float, "mu_grid": None, "k1_grid": None},
     "feedback": {
-        "methods": None, "m": None, "alpha_interp": None, "lambda_mix": None,
-        "lambda_nr": None, "rocchio_alpha": None, "rocchio_beta": None,
-        "rocchio_gamma": None, "em_max_iters": None, "em_tol": None,
+        "methods": None, "m": int, "alpha_interp": float, "lambda_mix": float,
+        "lambda_nr": float, "rocchio_alpha": float, "rocchio_beta": float,
+        "rocchio_gamma": float, "em_max_iters": int, "em_tol": float,
         "m_grid": None, "alpha_grid": None,
     },
-    "erm": {"lambda_erm": None, "sigmoid_a": None, "sigmoid_c": None, "neighbors": None},
+    "erm": {"lambda_erm": float, "sigmoid_a": float, "sigmoid_c": float, "neighbors": int},
     "embeddings": {"model_path": None, "representation_mode": None},
-    "fusion": {"enabled": None, "lambda_sf": None, "lambda_grid": None},
-    "session": {"settings": None, "depth": None},
-    "onerel": {"draws": None, "methods": None},
-    "evaluation": {"metrics": None, "folds": None},
+    "fusion": {"enabled": bool, "lambda_sf": float, "lambda_grid": None},
+    "session": {"settings": None, "depth": (int, 1)},
+    "onerel": {"draws": (int, 1), "methods": None},
+    "evaluation": {"metrics": None, "folds": (int, 2)},
+}
+
+# grid -> (section, the parameter it tunes, the run-irf methods it tunes);
+# lambda_grid tunes only while fusion is enabled
+TUNING_GRIDS = {
+    "mu_grid": ("retrieval", "mu", LM_METHODS),
+    "k1_grid": ("retrieval", "k1", VSM_METHODS),
+    "m_grid": ("feedback", "m", RF_METHODS),
+    "alpha_grid": ("feedback", "alpha_interp", LM_METHODS),
+    "lambda_grid": ("fusion", "lambda_sf", RF_METHODS),
 }
 
 
@@ -74,12 +87,8 @@ def load_experiment_config(path) -> dict:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    folds = cfg.get("evaluation", {}).get("folds")
-    if folds is not None and (type(folds) is not int or folds < 2):
-        raise ConfigError(f"evaluation.folds must be an integer >= 2, got {folds!r}")
-    depth = cfg.get("session", {}).get("depth")
-    if depth is not None and (type(depth) is not int or depth < 1):
-        raise ConfigError(f"session.depth must be an integer >= 1, got {depth!r}")
+    for section in ("", "session", "onerel", "evaluation"):  # the builders below check the others
+        _typed_params(cfg, section)
     settings_from_config(cfg)
     retrieval_from_config(cfg)
     feedback_from_config(cfg)
@@ -87,6 +96,7 @@ def load_experiment_config(path) -> dict:
     fusion_from_config(cfg)
     methods_from_config(cfg)
     onerel_methods_from_config(cfg)
+    metrics_from_config(cfg)
     _check_grids(cfg)
     return cfg
 
@@ -94,12 +104,7 @@ def load_experiment_config(path) -> dict:
 def _check_grids(cfg: dict) -> None:
     """Each grid is a non-empty list, and each entry passes the check its
     parameter gets as a single value."""
-    for section, grid, key, build in (
-            ("retrieval", "mu_grid", "mu", retrieval_from_config),
-            ("retrieval", "k1_grid", "k1", retrieval_from_config),
-            ("feedback", "m_grid", "m", feedback_from_config),
-            ("feedback", "alpha_grid", "alpha_interp", feedback_from_config),
-            ("fusion", "lambda_grid", "lambda_sf", fusion_from_config)):
+    for grid, (section, param, _) in TUNING_GRIDS.items():
         values = cfg.get(section, {}).get(grid)
         if values is None:
             continue
@@ -107,26 +112,60 @@ def _check_grids(cfg: dict) -> None:
             raise ConfigError(f"{section}.{grid} must be a non-empty list")
         for value in values:
             try:
-                build({**cfg, section: {**cfg[section], key: value}})
+                point_params(cfg, {param: value})
             except ConfigError as exc:
                 raise ConfigError(f"{section}.{grid} entry {value!r}: {exc}") from exc
 
 
-def _typed_params(cfg: dict, section_name: str, ints: tuple[str, ...], reals: tuple[str, ...]) -> dict:
-    """The section's values for these parameters, refused unless each is an
-    integer (ints) or a number (reals); booleans are neither."""
-    section = cfg.get(section_name, {})
-    kwargs = {}
-    for key in ints + reals:
-        if key not in section:
+def tuning_grids(cfg: dict, method: str) -> dict[str, list]:
+    """The grids that tune this run-irf method, keyed by the parameter each
+    tunes."""
+    fused = fusion_from_config(cfg) is not None
+    return {param: list(cfg[section][grid])
+            for grid, (section, param, methods) in TUNING_GRIDS.items()
+            if method in methods and cfg.get(section, {}).get(grid) and (fused or section != "fusion")}
+
+
+def point_params(cfg: dict, point: dict) -> tuple[RetrievalParams, FeedbackParams, FusionConfig | None]:
+    """The retrieval, feedback and fusion parameters at a grid point
+    ({parameter: value}): the config's, with the point's values in place."""
+    cfg = dict(cfg)
+    for section, param, _ in TUNING_GRIDS.values():
+        if param in point:
+            cfg[section] = {**cfg.get(section, {}), param: point[param]}
+    return retrieval_from_config(cfg), feedback_from_config(cfg), fusion_from_config(cfg)
+
+
+def _typed_params(cfg: dict, section_name: str) -> dict:
+    """The section's values of its typed leaves ("" is the top level),
+    refused unless each is of the kind its _SCHEMA leaf declares; booleans
+    are not numbers."""
+    section, schema = (cfg.get(section_name, {}), _SCHEMA[section_name]) if section_name else (cfg, _SCHEMA)
+    params = {}
+    for key, kind in schema.items():
+        if key not in section or kind is None or isinstance(kind, dict):
             continue
         value = section[key]
-        if key in ints and type(value) is not int:
-            raise ConfigError(f"{section_name}.{key} must be an integer, got {value!r}")
-        if key in reals and (type(value) is bool or not isinstance(value, (int, float))):
-            raise ConfigError(f"{section_name}.{key} must be a number, got {value!r}")
-        kwargs[key] = value
-    return kwargs
+        kind, low = kind if isinstance(kind, tuple) else (kind, None)
+        if kind is bool:
+            ok, wanted = type(value) is bool, "true or false"
+        elif kind is int:
+            ok = type(value) is int and (low is None or value >= low)
+            wanted = "an integer" if low is None else f"an integer >= {low}"
+        else:
+            ok, wanted = type(value) is not bool and isinstance(value, (int, float)), "a number"
+        if not ok:
+            name = f"{section_name}.{key}" if section_name else key
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        params[key] = float(value) if kind is float else value
+    return params
+
+
+def _build(cls, **params):
+    try:
+        return cls(**params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def tokenizer_from_config(cfg: dict) -> TokenizerConfig:
@@ -141,62 +180,46 @@ def tokenizer_from_config(cfg: dict) -> TokenizerConfig:
         if not stop_path.exists():
             raise ConfigError(f"stopword file {stop_spec!r} not found")
         stopwords = frozenset(stop_path.read_text(encoding="utf-8").split())
-    stemming = section.get("stemming", "s")
-    try:
-        return TokenizerConfig(stopwords=stopwords, stemming=stemming)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(TokenizerConfig, stopwords=stopwords, stemming=section.get("stemming", "s"))
 
 
 def retrieval_from_config(cfg: dict) -> RetrievalParams:
-    kwargs = _typed_params(cfg, "retrieval", (), ("mu", "k1", "b"))
-    try:
-        return RetrievalParams(**{key: float(value) for key, value in kwargs.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(RetrievalParams, **_typed_params(cfg, "retrieval"))
 
 
 def feedback_from_config(cfg: dict) -> FeedbackParams:
-    kwargs = _typed_params(cfg, "feedback", ("m", "em_max_iters"),
-                           ("alpha_interp", "lambda_mix", "lambda_nr", "rocchio_alpha",
-                            "rocchio_beta", "rocchio_gamma", "em_tol"))
-    try:
-        return FeedbackParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(FeedbackParams, **_typed_params(cfg, "feedback"))
 
 
 def erm_from_config(cfg: dict) -> ErmParams:
-    kwargs = _typed_params(cfg, "erm", ("neighbors",), ("lambda_erm", "sigmoid_a", "sigmoid_c"))
-    try:
-        return ErmParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ErmParams, **_typed_params(cfg, "erm"))
 
 
 def fusion_from_config(cfg: dict) -> FusionConfig | None:
-    kwargs = _typed_params(cfg, "fusion", (), ("lambda_sf",))
-    if not cfg.get("fusion", {}).get("enabled", False):
+    params = _typed_params(cfg, "fusion")
+    if not params.pop("enabled", False):
         return None
     mode = cfg.get("embeddings", {}).get("representation_mode", "pvc")
-    if mode not in REPRESENTATION_MODES:
-        raise ConfigError(f"unknown representation_mode {mode!r}")
-    try:
-        return FusionConfig(lambda_sf=float(kwargs.get("lambda_sf", 1.0)), representation_mode=mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(FusionConfig, representation_mode=mode, **params)
+
+
+def _names(path: str, names, allowed: tuple[str, ...]) -> list[str]:
+    if not isinstance(names, list) or not names:
+        raise ConfigError(f"{path} must be a non-empty list of names, got {names!r}")
+    for name in names:
+        if name not in allowed:
+            raise ConfigError(f"unknown {path} entry {name!r}; expected one of {allowed}")
+    return list(names)
 
 
 def _methods(cfg: dict, section: str, default: list[str], allowed: tuple[str, ...]) -> list[str]:
+    """The section's methods; a single name is a list of one."""
     methods = cfg.get(section, {}).get("methods", default)
-    if isinstance(methods, str):
-        methods = [methods]
-    if not isinstance(methods, list):
-        raise ConfigError(f"{section}.methods must be a list of method names, got {methods!r}")
-    for method in methods:
-        if method not in allowed:
-            raise ConfigError(f"unknown {section}.methods entry {method!r}; expected one of {allowed}")
-    return list(methods)
+    return _names(f"{section}.methods", [methods] if isinstance(methods, str) else methods, allowed)
+
+
+def metrics_from_config(cfg: dict, default: tuple[str, ...] = METRICS) -> list[str]:
+    return _names("evaluation.metrics", cfg.get("evaluation", {}).get("metrics", list(default)), METRICS)
 
 
 def methods_from_config(cfg: dict) -> list[str]:

@@ -186,9 +186,6 @@ class Judgments:
     def relevant_ids(self, query_id: str) -> frozenset[str]:
         return frozenset(p for p, g in self.data.get(query_id, {}).items() if g > 0)
 
-    def query_ids(self) -> tuple[str, ...]:
-        return tuple(self.data)
-
     def add(self, query_id: str, passage_id: str, grade: int) -> None:
         if grade < 0:
             raise ValueError(f"negative grade {grade} for ({query_id}, {passage_id})")

@@ -89,25 +89,21 @@ def fisher_randomization(
     b: Mapping[str, float],
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int = 0,
-    method: str = "auto",
 ) -> float:
     """Two-sided paired sign-flip test on per-topic differences.
 
-    method "auto" enumerates all 2^n assignments when n <= 20 and samples
-    otherwise; "exhaustive" / "sampled" force one path. The sampled estimate
-    counts the identity assignment alongside the samples.
+    Enumerates all 2^n assignments when n <= 20 and samples otherwise. The
+    sampled estimate counts the identity assignment alongside the samples.
     """
     if set(a) != set(b):
         raise ValueError("topic sets of the two systems differ")
     if not a:
         raise ValueError("no topics to compare")
-    if method not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown method {method!r}")
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
     topics = sorted(a)
     d = np.array([a[t] - b[t] for t in topics], dtype=np.float64)
-    if method == "exhaustive" or (method == "auto" and len(d) <= EXHAUSTIVE_LIMIT):
+    if len(d) <= EXHAUSTIVE_LIMIT:
         return _exhaustive_p(d)
     return _sampled_p(d, permutations, seed)
 

@@ -22,7 +22,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .config import (
     ConfigError,
@@ -30,10 +30,13 @@ from .config import (
     feedback_from_config,
     fusion_from_config,
     methods_from_config,
+    metrics_from_config,
     onerel_methods_from_config,
+    point_params,
     retrieval_from_config,
     settings_from_config,
     tokenizer_from_config,
+    tuning_grids,
 )
 from .corpus import Judgments, Query, TokenizerConfig, ingest_corpus, load_qrels, load_queries
 from .embeddings import EmbeddingModel, load_model
@@ -45,11 +48,9 @@ from .evaluation import (
     fisher_randomization,
     grid_points,
 )
-from .fusion import FusionConfig
 from .index import build_index
 from .retrieval import read_run, write_ranked_ids, write_run
 from .simulation import (
-    LM_METHODS,
     EngineContext,
     SessionConfig,
     SessionResult,
@@ -111,47 +112,19 @@ def _check_model_tokenizer(model: EmbeddingModel, tokenizer: TokenizerConfig, pa
                           f"the experiment tokenizes with {expected}")
 
 
-def _frozen_metric(results: Mapping[str, SessionResult], qrels: Judgments, metric: str) -> MetricResult:
-    per_query = {
-        qid: evaluate_ranking(freeze_ranking(res.frozen), qrels.relevant_ids(qid), metric)
-        for qid, res in results.items()
-    }
-    return MetricResult.aggregate(metric, per_query)
+def score_rankings(rankings: Iterable[tuple[str, Sequence[str], AbstractSet[str]]],
+                   metrics: Sequence[str]) -> dict[str, MetricResult]:
+    """Each metric over (topic, ranked ids, relevant ids) triples, per topic
+    and in the mean."""
+    per_metric: dict[str, dict[str, float]] = {metric: {} for metric in metrics}
+    for topic, ranking, relevant in rankings:
+        for metric, per_query in per_metric.items():
+            per_query[topic] = evaluate_ranking(ranking, relevant, metric)
+    return {metric: MetricResult.aggregate(metric, per_query) for metric, per_query in per_metric.items()}
 
 
-def _grids_for_method(cfg: dict, method: str, fusion: FusionConfig | None) -> dict[str, list]:
-    grids: dict[str, list] = {}
-    retrieval = cfg.get("retrieval", {})
-    feedback = cfg.get("feedback", {})
-    if method in LM_METHODS and retrieval.get("mu_grid"):
-        grids["mu"] = list(retrieval["mu_grid"])
-    if method == "rocchio" and retrieval.get("k1_grid"):
-        grids["k1"] = list(retrieval["k1_grid"])
-    if feedback.get("m_grid"):
-        grids["m"] = list(feedback["m_grid"])
-    if method != "rocchio" and feedback.get("alpha_grid"):
-        grids["alpha_interp"] = list(feedback["alpha_grid"])
-    if fusion is not None and cfg.get("fusion", {}).get("lambda_grid"):
-        grids["lambda_sf"] = list(cfg["fusion"]["lambda_grid"])
-    return grids
-
-
-def _apply_point(ctx: EngineContext, fusion: FusionConfig | None, point: Mapping) -> tuple[EngineContext, FusionConfig | None]:
-    retrieval = ctx.retrieval
-    feedback = ctx.feedback
-    if "mu" in point:
-        retrieval = replace(retrieval, mu=float(point["mu"]))
-    if "k1" in point:
-        retrieval = replace(retrieval, k1=float(point["k1"]))
-    if "m" in point:
-        feedback = replace(feedback, m=point["m"])
-    if "alpha_interp" in point:
-        feedback = replace(feedback, alpha_interp=float(point["alpha_interp"]))
-    new_ctx = replace(ctx, retrieval=retrieval, feedback=feedback)
-    new_fusion = fusion
-    if fusion is not None and "lambda_sf" in point:
-        new_fusion = replace(fusion, lambda_sf=float(point["lambda_sf"]))
-    return new_ctx, new_fusion
+def _frozen_rankings(results: Mapping[str, SessionResult], qrels: Judgments):
+    return ((qid, freeze_ranking(res.frozen), qrels.relevant_ids(qid)) for qid, res in results.items())
 
 
 def _write_per_query_csv(path, per_metric: Mapping[str, MetricResult]) -> None:
@@ -184,7 +157,7 @@ def format_table(rows: Mapping[str, Mapping[str, float]], columns: Sequence[str]
 
 def irf_metrics(cfg: dict) -> list[str]:
     """run-irf's metrics; the first, its objective, is tuned and tabled."""
-    return list(cfg.get("evaluation", {}).get("metrics", ["map100", "ndcg20"]))
+    return metrics_from_config(cfg, ("map100", "ndcg20"))
 
 
 def irf_title(cfg: dict) -> str:
@@ -199,69 +172,60 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = methods_from_config(cfg)
     settings = settings_from_config(cfg)
-    fusion = fusion_from_config(cfg)
     metrics = irf_metrics(cfg)
     objective = metrics[0]
-    folds = int(cfg.get("evaluation", {}).get("folds", 5))
-    seed = int(cfg.get("seed", 0))
+    folds = cfg.get("evaluation", {}).get("folds", 5)
+    seed = cfg.get("seed", 0)
     depth = cfg.get("session", {}).get("depth")
     query_ids = [q.query_id for q in engine.queries]
 
     columns = ["initial"] + [f"{n}x{i}" for n, i in settings]
     summary: dict[str, dict[str, float]] = {}
     for method in methods:
-        row: dict[str, float] = {}
-        init_scores = {
-            q.query_id: evaluate_ranking(
-                initial_ranking(q, method, engine.ctx).ids(),
-                engine.qrels.relevant_ids(q.query_id), objective)
-            for q in engine.queries
-        }
-        row["initial"] = MetricResult.aggregate(objective, init_scores).mean
-        grids = _grids_for_method(cfg, method, fusion)
+        initial = score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(),
+                                   engine.qrels.relevant_ids(q.query_id)) for q in engine.queries), [objective])
+        row: dict[str, float] = {"initial": initial[objective].mean}
+        grids = tuning_grids(cfg, method)
         points = grid_points(grids) if grids else [{}]
+        variants = []
+        for point in points:
+            retrieval, feedback, fusion = point_params(cfg, point)
+            variants.append((replace(engine.ctx, retrieval=retrieval, feedback=feedback), fusion))
         for per_iter, iterations in settings:
             tag = f"{method}_{per_iter}x{iterations}"
-            scfg = SessionConfig(per_iter=per_iter, iterations=iterations,
-                                 rf_method=method, fusion=fusion, depth=depth)
-            sweep: list[tuple[EngineContext, SessionConfig, dict[str, SessionResult]]] = []
-            for point in points:
-                ctx_p, fusion_p = _apply_point(engine.ctx, fusion, point)
-                sweep.append((ctx_p, replace(scfg, fusion=fusion_p), {}))
+            sessions = [(ctx, SessionConfig(per_iter=per_iter, iterations=iterations,
+                                            rf_method=method, fusion=fusion, depth=depth))
+                        for ctx, fusion in variants]
+            sweep: list[dict[str, SessionResult]] = [{} for _ in points]
             for query in engine.queries:
                 # one memo per (setting, query) holds the repeats across grid
                 # points; a wider one costs memory for few more hits
                 memo: dict = {}
-                for ctx_p, scfg_p, results in sweep:
-                    results[query.query_id] = run_irf_session(query, engine.qrels, scfg_p, ctx_p, memo=memo)
-            by_point = {_point_key(p): results for p, (_, _, results) in zip(points, sweep)}
+                for (ctx, scfg), results in zip(sessions, sweep):
+                    results[query.query_id] = run_irf_session(query, engine.qrels, scfg, ctx, memo=memo)
             if grids:
                 chosen, _ = cross_validate_grid(
                     query_ids, grids,
-                    lambda point: _frozen_metric(by_point[_point_key(point)], engine.qrels, objective).per_query,
+                    lambda point: score_rankings(_frozen_rankings(sweep[points.index(point)], engine.qrels),
+                                                 [objective])[objective].per_query,
                     folds=folds, seed=seed)
                 results = {
-                    qid: by_point[_point_key(point)][qid]
+                    qid: sweep[points.index(point)][qid]
                     for point, fold in zip(chosen, assign_folds(query_ids, folds, seed))
                     for qid in fold
                 }
                 _write_json(out_dir / f"chosen_params_{tag}.json", chosen)
             else:
-                results = by_point[()]
+                results = sweep[0]
             write_ranked_ids(out_dir / f"run_irf_{tag}.txt",
                              [(qid, freeze_ranking(res.frozen)) for qid, res in sorted(results.items())], tag=tag)
             write_trace(out_dir / f"trace_{tag}.jsonl", list(results.values()))
-            per_metric = {m: _frozen_metric(results, engine.qrels, m) for m in metrics}
+            per_metric = score_rankings(_frozen_rankings(results, engine.qrels), metrics)
             _write_per_query_csv(out_dir / f"perquery_{tag}.csv", per_metric)
             row[f"{per_iter}x{iterations}"] = per_metric[objective].mean
         summary[method] = row
     write_summary_csv(out_dir / f"summary_{objective}.csv", summary, columns)
-    logger.info("\n%s", format_table(summary, columns, irf_title(cfg)))
     return summary
-
-
-def _point_key(point: Mapping) -> tuple:
-    return tuple(sorted(point.items()))
 
 
 def _write_json(path, obj) -> None:
@@ -276,9 +240,9 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = onerel_methods_from_config(cfg)
     fusion = fusion_from_config(cfg)
-    draws = int(cfg.get("onerel", {}).get("draws", 10))
-    seed = int(cfg.get("seed", 0))
-    metrics = cfg.get("evaluation", {}).get("metrics", ["p1", "mrr", "map100"])
+    draws = cfg.get("onerel", {}).get("draws", 10)
+    seed = cfg.get("seed", 0)
+    metrics = metrics_from_config(cfg, ("p1", "mrr", "map100"))
     depth = cfg.get("session", {}).get("depth")
 
     summary: dict[str, dict[str, float]] = {}
@@ -290,18 +254,13 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
                 fusion=fusion if method not in ("ql", "bm25") else None,
                 depth=depth, draws=draws, seed=seed))
         write_run(out_dir / f"run_onerel_{method}.txt", [d.ranking for d in all_draws], tag=f"onerel_{method}")
-        per_metric = {}
-        for metric in metrics:
-            per_query = {}
-            for d in all_draws:
-                qid = d.topic_id.rsplit(".d", 1)[0]
-                relevant = engine.qrels.relevant_ids(qid) - {d.fed_passage}
-                per_query[d.topic_id] = evaluate_ranking(d.ranking.ids(), relevant, metric)
-            per_metric[metric] = MetricResult.aggregate(metric, per_query)
+        per_metric = score_rankings(
+            ((d.topic_id, d.ranking.ids(),
+              engine.qrels.relevant_ids(d.topic_id.rsplit(".d", 1)[0]) - {d.fed_passage}) for d in all_draws),
+            metrics)
         _write_per_query_csv(out_dir / f"perquery_onerel_{method}.csv", per_metric)
         summary[method] = {m: res.mean for m, res in per_metric.items()}
     write_summary_csv(out_dir / "summary_onerel.csv", summary, metrics)
-    logger.info("\n%s", format_table(summary, metrics, "one-relevant-passage experiment"))
     return summary
 
 
@@ -310,14 +269,8 @@ def evaluate_run_file(run_path, qrels_path, metrics: Sequence[str]) -> dict[str,
     if not run:
         raise ValueError(f"{run_path}: empty run file")
     qrels = load_qrels(qrels_path)
-    out = {}
-    for metric in metrics:
-        per_query = {
-            qid: evaluate_ranking([pid for pid, _ in entries], qrels.relevant_ids(qid), metric)
-            for qid, entries in run.items()
-        }
-        out[metric] = MetricResult.aggregate(metric, per_query)
-    return out
+    return score_rankings(((qid, [pid for pid, _ in entries], qrels.relevant_ids(qid)) for qid, entries in run.items()),
+                          metrics)
 
 
 def significance_between(run_a, run_b, qrels_path, metric: str,

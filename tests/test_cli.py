@@ -156,13 +156,25 @@ class TestRunIrf:
         ("fusion", "lambda_grid", [], "fusion.lambda_grid must be a non-empty list"),
         ("feedback", "methods", ["rm3", "bm25"], "unknown feedback.methods entry 'bm25'"),
         ("onerel", "methods", "rm4", "unknown onerel.methods entry 'rm4'"),
+        ("feedback", "methods", [], "feedback.methods must be a non-empty list"),
+        ("onerel", "methods", [], "onerel.methods must be a non-empty list"),
+        ("fusion", "enabled", "false", "fusion.enabled must be true or false"),
+        (None, "seed", 1.5, "seed must be an integer >= 0"),
+        (None, "seed", "x", "seed must be an integer >= 0"),
+        (None, "seed", -1, "seed must be an integer >= 0"),
+        ("onerel", "draws", 1.5, "onerel.draws must be an integer >= 1"),
+        ("onerel", "draws", "x", "onerel.draws must be an integer >= 1"),
+        ("onerel", "draws", 0, "onerel.draws must be an integer >= 1"),
+        ("evaluation", "metrics", ["map1000"], "unknown evaluation.metrics entry 'map1000'"),
+        ("evaluation", "metrics", "map100", "evaluation.metrics must be a non-empty list"),
+        ("evaluation", "metrics", [], "evaluation.metrics must be a non-empty list"),
     ])
     @pytest.mark.parametrize("command", ["run-irf", "run-onerel"])
     def test_bad_session_and_feedback_values_exit_2_before_any_work(
             self, synth_dir, tmp_path, capsys, command, section, key, value, message):
         out_dir = tmp_path / "out"
         cfg = experiment_config(synth_dir, out_dir)
-        cfg.setdefault(section, {})[key] = value
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value  # None: the top level
         assert run_cli(command, "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()  # refused before the engine loaded

@@ -161,27 +161,20 @@ class TestFisherRandomization:
         for trial in range(5):
             n = int(rng.integers(4, 10))
             d = rng.normal(size=n)
-            a = {f"q{i}": float(d[i]) for i in range(n)}
-            b = {f"q{i}": 0.0 for i in range(n)}
-            exact = fisher_randomization(a, b, method="exhaustive")
-            mc = fisher_randomization(a, b, permutations=100_000, seed=17 + trial, method="sampled")
-            assert mc == pytest.approx(exact, abs=0.01)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            fisher_randomization({"q": 1.0}, {"q": 0.0}, method="bootstrap")
+            mc = _sampled_p(d, 100_000, 17 + trial)
+            assert mc == pytest.approx(_exhaustive_p(d), abs=0.01)
 
     def test_misaligned_topics_rejected(self):
         with pytest.raises(ValueError, match="topic sets"):
             fisher_randomization({"q1": 1.0}, {"q2": 1.0})
 
     def test_permutations_below_one_rejected(self):
-        a = {f"q{i}": float(i) for i in range(25)}
-        b = {f"q{i}": 0.0 for i in range(25)}
-        for method in ("auto", "sampled", "exhaustive"):
+        for n in (25, 5):  # sampled and exhaustive
+            a = {f"q{i}": float(i) for i in range(n)}
+            b = {f"q{i}": 0.0 for i in range(n)}
             for permutations in (0, -1, -2):
                 with pytest.raises(ValueError, match="permutations must be >= 1"):
-                    fisher_randomization(a, b, permutations=permutations, method=method)
+                    fisher_randomization(a, b, permutations=permutations)
 
     def test_monte_carlo_path_in_unit_range(self, rng):
         n = 25  # above the exhaustive limit
