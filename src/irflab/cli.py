@@ -35,8 +35,15 @@ logger = logging.getLogger("irflab")
 CLI_TRAIN_MODES = {"skipgram": "skipgram", "pv-hdc": "pv_hdc", "pvc": "pv_hdc_corrupted"}
 
 
+def _seed(text: str) -> int:
+    """--seed's type: an integer >= 0, so a bad seed exits 2 before any data is read."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility: irflab runs single-threaded and exits 2 above 1")

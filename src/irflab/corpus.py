@@ -296,8 +296,8 @@ def write_qrels(path, judgments: Judgments) -> None:
 
 
 def load_queries(path, config: TokenizerConfig) -> list[Query]:
-    """Read tab-separated queries and tokenize them."""
-    queries = []
+    """Read tab-separated queries and tokenize them; query ids are unique."""
+    queries: dict[str, Query] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -306,11 +306,13 @@ def load_queries(path, config: TokenizerConfig) -> list[Query]:
             if "\t" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'qid<TAB>text'")
             qid, text = line.split("\t", 1)
+            if qid in queries:
+                raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
             tokens = tuple(tokenize(text, config))
             if not tokens:
                 logger.warning("%s: line %d: query %s has no tokens after preprocessing", path, lineno, qid)
-            queries.append(Query(query_id=qid, text=text, tokens=tokens))
-    return queries
+            queries[qid] = Query(query_id=qid, text=text, tokens=tokens)
+    return list(queries.values())
 
 
 def write_queries(path, queries: Sequence[Query]) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage, PassageCollection
-from .index import Index, build_index, idf
+from .index import Index, build_index, idf, memo
 
 logger = logging.getLogger(__name__)
 
@@ -97,11 +97,7 @@ class EmbeddingModel:
     def cached(self, key, build):
         """build()'s value, computed once per key and kept on the model;
         callers must not modify it."""
-        value = self._memo.get(key)
-        if value is None:
-            value = build()
-            self._memo[key] = value
-        return value
+        return memo(self._memo, key, build)
 
     def unit_word_vectors(self) -> np.ndarray:
         """Row-normalized word vectors (zero rows stay zero); cached."""
@@ -111,12 +107,6 @@ class EmbeddingModel:
         norms = np.linalg.norm(self.word_vectors, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return self.word_vectors / norms
-
-    def passage_row(self, passage_id: str) -> np.ndarray:
-        (row,) = self.passage_rows([passage_id]).tolist()
-        if row < 0:
-            raise ValueError(f"passage {passage_id!r} was not in the training corpus")
-        return self.passage_vectors[row]
 
     def passage_rows(self, passage_ids: Sequence[str]) -> np.ndarray:
         """Row of each passage in passage_vectors; -1 for a passage that was
@@ -417,7 +407,10 @@ def passage_vector(passage: Passage, model: EmbeddingModel, mode: str, index: In
     if mode not in REPRESENTATION_MODES:
         raise ValueError(f"unknown representation mode {mode!r}")
     if mode in ("pv", "pvc"):
-        return model.passage_row(passage.passage_id)
+        (row,) = model.passage_rows([passage.passage_id]).tolist()
+        if row < 0:
+            raise ValueError(f"passage {passage.passage_id!r} was not in the training corpus")
+        return model.passage_vectors[row]
     rows = [model.vocab[t] for t in passage.tokens if t in model.vocab]
     if not rows:
         raise UnrepresentablePassage(f"passage {passage.passage_id!r} has no in-vocabulary tokens")

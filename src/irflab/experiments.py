@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
@@ -268,9 +269,13 @@ def evaluate_run_file(run_path, qrels_path, metrics: Sequence[str]) -> dict[str,
     run = read_run(run_path)
     if not run:
         raise ValueError(f"{run_path}: empty run file")
+    rankings = {qid: [pid for pid, _ in entries] for qid, entries in run.items()}
+    for qid, ids in rankings.items():
+        if len(set(ids)) < len(ids):  # the metrics score one duplicate-free ranking
+            pid = Counter(ids).most_common(1)[0][0]
+            raise ValueError(f"{run_path}: query {qid!r} ranks passage {pid!r} more than once")
     qrels = load_qrels(qrels_path)
-    return score_rankings(((qid, [pid for pid, _ in entries], qrels.relevant_ids(qid)) for qid, entries in run.items()),
-                          metrics)
+    return score_rankings(((qid, ids, qrels.relevant_ids(qid)) for qid, ids in rankings.items()), metrics)
 
 
 def significance_between(run_a, run_b, qrels_path, metric: str,

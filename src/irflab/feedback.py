@@ -26,6 +26,7 @@ a session keeps it. Without a cache every call computes afresh.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .corpus import Passage, Query
 from .embeddings import EmbeddingModel
-from .index import Index, TermVector, collection_prob, query_counts
+from .index import Index, TermVector, collection_prob, memo, query_counts
 
 logger = logging.getLogger(__name__)
 
@@ -162,12 +163,7 @@ def _pool_counts(pool: Sequence[Passage], index: Index) -> list[tuple[Mapping[st
 def _evidence(cache: dict | None, key: tuple) -> dict:
     """The table under ``key`` in the caller's cache, made on first use; a
     fresh table, kept by no one, without a cache."""
-    if cache is None:
-        return {}
-    table = cache.get(key)
-    if table is None:
-        table = cache[key] = {}
-    return table
+    return {} if cache is None else memo(cache, key, dict)
 
 
 def _pool_log_likelihoods(query: Query, pool: Sequence[Passage], counts: Sequence[tuple[Mapping[str, int], int]],
@@ -175,13 +171,8 @@ def _pool_log_likelihoods(query: Query, pool: Sequence[Passage], counts: Sequenc
     """log P(Q|D) of each pooled passage at mu, in pool order, each computed
     once per cache."""
     logps = _evidence(cache, ("logp", mu))
-    out = []
-    for passage, (passage_counts, dlen) in zip(pool, counts):
-        logp = logps.get(passage.passage_id)
-        if logp is None:
-            logp = logps[passage.passage_id] = _log_query_likelihood(query, passage_counts, dlen, index, mu)
-        out.append(logp)
-    return out
+    return [memo(logps, passage.passage_id, lambda: _log_query_likelihood(query, passage_counts, dlen, index, mu))
+            for passage, (passage_counts, dlen) in zip(pool, counts)]
 
 
 def _pool_weighted_model(pool: Sequence[tuple[Mapping[str, int], int]], doc_weights: np.ndarray) -> dict[str, float]:
@@ -291,19 +282,17 @@ def estimate_distillation(
     if params.lambda_mix + lambda_nr >= 1.0:
         raise ValueError("lambda_mix + lambda_nr must be < 1")
 
-    counts: dict[str, int] = {}
-    for passage in rel_pool:
-        for term, tf in index.term_counts(passage).items():
-            counts[term] = counts.get(term, 0) + tf
+    counts: dict[str, int] = {}  # summed over the relevant pool, in first-occurrence order
+    nr_counts: dict[str, int] = {}  # over the non-relevant pool, when its component is on
+    for pool, summed in ((rel_pool, counts), (nr_pool if lambda_nr > 0.0 else (), nr_counts)):
+        for passage in pool:
+            for term, tf in index.term_counts(passage).items():
+                summed[term] = summed.get(term, 0) + tf
     if not counts:
         raise ValueError("relevant pool contains no tokens")
 
     theta_nr: dict[str, float] = {}
     if lambda_nr > 0.0:
-        nr_counts: dict[str, int] = {}
-        for passage in nr_pool:
-            for term, tf in index.term_counts(passage).items():
-                nr_counts[term] = nr_counts.get(term, 0) + tf
         total = sum(nr_counts.values())
         if total > 0:
             theta_nr = {t: c / total for t, c in nr_counts.items()}
@@ -331,16 +320,13 @@ def rocchio_update(
     clipped to zero and only the original terms plus the top m new terms
     survive."""
     updated: dict[str, float] = {t: params.rocchio_alpha * w for t, w in query_vec.items()}
-    if rel_pool and params.rocchio_beta > 0.0:
-        scale = params.rocchio_beta / len(rel_pool)
-        for passage in rel_pool:
-            for term, w in index.tfidf_row(passage).items():
-                updated[term] = updated.get(term, 0.0) + scale * w
-    if nr_pool and params.rocchio_gamma > 0.0:
-        scale = params.rocchio_gamma / len(nr_pool)
-        for passage in nr_pool:
-            for term, w in index.tfidf_row(passage).items():
-                updated[term] = updated.get(term, 0.0) - scale * w
+    # adding -(gamma / n) * w gives the float that subtracting (gamma / n) * w does
+    for pool, coef, sign in ((rel_pool, params.rocchio_beta, 1.0), (nr_pool, params.rocchio_gamma, -1.0)):
+        if pool and coef > 0.0:
+            scale = sign * coef / len(pool)
+            for passage in pool:
+                for term, w in index.tfidf_row(passage).items():
+                    updated[term] = updated.get(term, 0.0) + scale * w
     clipped = {t: max(0.0, w) for t, w in updated.items()}
     new_terms = sorted(
         ((t, w) for t, w in clipped.items() if t not in query_vec and w > 0.0),
@@ -425,15 +411,10 @@ def estimate_erm(
     translations = _evidence(cache, ("erm", erm))
     weights = np.zeros(len(rel_pool))
     for i, (passage, (counts, dlen), logp) in enumerate(zip(rel_pool, pool, logps)):
-        p_exact = float(np.exp(logp))
-        p_trans = translations.get(passage.passage_id)
-        if p_trans is None:
-            p_trans = 1.0
-            for tok in in_vocab:
-                table = tables[tok]
-                p_trans *= sum(tw * counts.get(w, 0) / dlen for w, tw in table.items()) if dlen else 0.0
-            translations[passage.passage_id] = p_trans
-        weights[i] = erm.lambda_erm * p_exact + (1.0 - erm.lambda_erm) * p_trans
+        p_trans = memo(translations, passage.passage_id, lambda: math.prod(  # prod_q sum_w T(q|w) P_ml(w|D)
+            (sum(tw * counts.get(w, 0) / dlen for w, tw in tables[tok].items()) if dlen else 0.0
+             for tok in in_vocab), start=1.0))
+        weights[i] = erm.lambda_erm * float(np.exp(logp)) + (1.0 - erm.lambda_erm) * p_trans
     total = weights.sum()
     if total <= 0.0:
         logger.warning("all document weights vanished; falling back to uniform pool weights")

@@ -11,20 +11,22 @@ scale differences between feedback methods.
 fused_rank works on index positions. It reads the base list's positions
 and scores as arrays (the base list must be a ranking of the same index) and
 returns positions and fused scores, ordered by one lexsort; passage ids are
-not looked up. For pv/pvc it reads the pool and candidate vectors by fancy
-indexing into the trained passage vectors, through a map from index
-position to model row, and takes the candidates' norms from a table built
-with the map. Both are built once per (model, index) and kept on the model:
-16 bytes per indexed passage. avg_w2v/idf_w2v vectors and norms are
-computed per call.
+not looked up. One gather, ``_gather``, reads the vectors and norms of
+the pool and of the candidates. For pv/pvc it reads them by fancy indexing
+into the trained passage vectors and their norms, through a map from index
+position to model row. The map and the norms are built once per (model,
+index) and kept in the model's memo (``EmbeddingModel.cached``): 16 bytes
+per indexed passage. avg_w2v/idf_w2v vectors and norms are computed per
+call.
 
 The pool side of a call, the centroid of the relevant pool's vectors
 (summed row by row in pool order) and its norm, depends only on the pool
 and the mode. A caller that fuses against one pool many times (a feedback
 session, across iterations and grid points) passes a ``cache`` dict, kept
 for one index and embedding model, and the centroid is computed once per
-(relevant pool, mode): one dim-float vector per distinct pool. A call then
-gathers only the candidates' rows.
+(relevant pool, mode) and kept there through ``irflab.index.memo``: one
+dim-float vector per distinct pool. A call then gathers only the
+candidates' rows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .corpus import Passage, PassageCollection
 from .embeddings import EmbeddingModel, REPRESENTATION_MODES, UnrepresentablePassage, passage_vector
 from .feedback import FeedbackState
-from .index import Index
+from .index import Index, memo
 from .retrieval import RankedList
 
 logger = logging.getLogger(__name__)
@@ -81,25 +83,36 @@ def _pv_rows(model: EmbeddingModel, index: Index) -> tuple[np.ndarray, np.ndarra
     return rows, norms
 
 
+def _gather(positions: np.ndarray, model: EmbeddingModel, mode: str, collection: PassageCollection,
+            index: Index) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of these index positions, one row each, and their norms.
+    pv/pvc rows are read from the trained passage vectors; a passage without
+    one has norm 0, so only then is it looked for, and it raises ValueError.
+    avg_w2v/idf_w2v vectors are computed per passage (an unrepresentable
+    one is a zero vector)."""
+    if mode in ("pv", "pvc"):
+        rows, row_norms = model.cached(("pv", index), lambda: _pv_rows(model, index))
+        rows = rows[positions]
+        norms = row_norms[positions]
+        if not norms.all():
+            missing = np.flatnonzero(rows < 0)
+            if len(missing):
+                raise ValueError(f"passage {index.ids[positions[missing[0]]]!r} was not in the training corpus")
+        return model.passage_vectors[rows], norms
+    ids = index.ids
+    vectors = (np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in positions.tolist()])
+               if len(positions) else np.zeros((0, model.dim)))
+    return vectors, np.linalg.norm(vectors, axis=1)
+
+
 def _pool_centroid(pool: tuple[str, ...], model: EmbeddingModel, mode: str, collection: PassageCollection,
                    index: Index) -> tuple[np.ndarray, float]:
     """The centroid of the pool's vectors, summed row by row in pool order as
     the per-passage reference sums, and its norm; the centroid is read-only."""
-    positions = []
-    for pid in pool:
-        pos = index.id_to_pos.get(pid)
-        if pos is None:
-            raise ValueError(f"relevant-pool passage {pid!r} is not in the index")
-        positions.append(pos)
-    if mode in ("pv", "pvc"):
-        rows, _ = model.cached(("pv", index), lambda: _pv_rows(model, index))
-        rows = rows[positions]
-        missing = np.flatnonzero(rows < 0)
-        if len(missing):
-            raise ValueError(f"passage {pool[missing[0]]!r} was not in the training corpus")
-        vectors = model.passage_vectors[rows]
-    else:
-        vectors = np.stack([_vector_or_zero(collection[pid], model, mode, index) for pid in pool])
+    missing = [pid for pid in pool if pid not in index.id_to_pos]
+    if missing:
+        raise ValueError(f"relevant-pool passage {missing[0]!r} is not in the index")
+    vectors, _ = _gather(np.array([index.id_to_pos[pid] for pid in pool]), model, mode, collection, index)
     centroid = np.zeros(model.dim)
     for vec in vectors:
         centroid += vec
@@ -135,33 +148,12 @@ def fused_rank(
     if not state.relevant_pool:
         return base
     mode = cfg.representation_mode
-    key = ("centroid", state.relevant_pool, mode)
-    pool_side = cache.get(key) if cache is not None else None
-    if pool_side is None:
-        pool_side = _pool_centroid(state.relevant_pool, model, mode, collection, index)
-        if cache is not None:
-            cache[key] = pool_side
-    centroid, cnorm = pool_side
+    centroid, cnorm = memo({} if cache is None else cache, ("centroid", state.relevant_pool, mode),
+                           lambda: _pool_centroid(state.relevant_pool, model, mode, collection, index))
     cand = base.positions
-    if mode in ("pv", "pvc"):
-        rows, row_norms = model.cached(("pv", index), lambda: _pv_rows(model, index))
-        rows = rows[cand]
-        norms = row_norms[cand]
-        ok = norms > 0.0
-        every_row = ok.all()
-        if not every_row:  # an untrained passage has norm 0
-            missing = np.flatnonzero(rows < 0)
-            if len(missing):
-                raise ValueError(f"passage {index.ids[cand[missing[0]]]!r} was not in the training corpus")
-        vectors = model.passage_vectors[rows]
-    else:
-        ids = index.ids
-        vectors = (np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in cand.tolist()])
-                   if len(cand) else np.zeros((0, model.dim)))
-        norms = np.linalg.norm(vectors, axis=1)
-        ok = norms > 0.0
-        every_row = ok.all()
-    if cnorm > 0.0 and every_row:  # no mask copy: the product runs over the same rows either way
+    vectors, norms = _gather(cand, model, mode, collection, index)
+    ok = norms > 0.0
+    if cnorm > 0.0 and ok.all():  # no mask copy: the product runs over the same rows either way
         sims = vectors @ centroid / (norms * cnorm)
     else:
         sims = np.zeros(len(cand))

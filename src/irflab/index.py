@@ -11,17 +11,15 @@ the postings. Collection and document frequencies (cf, df) are arrays
 indexed by term id. Language-model scoring reads them through
 ``collection_prob``, vector-space scoring through ``idf``.
 
-The index also holds lazily filled, read-only caches, none of which
-depends on a query, so they live as long as the index:
-  - for query likelihood at Dirichlet mu, keyed on mu: ln(|d| + mu) of
-    every passage, and keyed on (term, mu) the log posting weights of each
-    term scored. For each distinct mu they take at most 8 bytes per
-    passage and 8 bytes per posting, whatever the number of calls.
-  - for feedback, keyed on passage id: the term counts of each passage a
-    pool has held (``term_counts``) and its tf-idf weights
-    (``tfidf_row``), as read-only mappings. Each takes one small dict per
-    distinct passage read, so its memory is bounded by the passages that
-    feedback has seen, not by the number of calls.
+``memo`` is the one get-or-build behind every cache in irflab. The index
+keeps what depends on no query, read-only, for its lifetime, in its memo
+(``Index.cached``):
+  - under ("ql", mu), ``irflab.retrieval.ql_weights``: ln(|d| + mu) of
+    every passage and the log posting weights of each term scored at mu,
+    at most 8 bytes per passage and per posting for each distinct mu;
+  - under "counts" and "tfidf", by passage id, the term counts
+    (``term_counts``) and tf-idf weights (``tfidf_row``) of each passage
+    feedback has read: one small dict per distinct passage, not per call.
 """
 
 from __future__ import annotations
@@ -59,10 +57,7 @@ class Index:
     total_tokens: int
     passage_count: int
     tie_rank: np.ndarray = field(repr=False, default=None)  # rank of each position under id-ascending order
-    _log_len: dict[float, np.ndarray] = field(init=False, repr=False, default_factory=dict)
-    _ql_terms: dict[float, dict[str, tuple]] = field(init=False, repr=False, default_factory=dict)
-    _counts: dict[str, Mapping[str, int]] = field(init=False, repr=False, default_factory=dict)
-    _tfidf_rows: dict[str, Mapping[str, float]] = field(init=False, repr=False, default_factory=dict)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def avg_doc_len(self) -> float:
@@ -71,40 +66,10 @@ class Index:
     def __contains__(self, term: str) -> bool:
         return term in self.term_ids
 
-    def log_len_plus(self, mu: float) -> np.ndarray:
-        """ln(|d| + mu) of every passage, computed once per mu (read-only)."""
-        logs = self._log_len.get(mu)
-        if logs is None:
-            logs = np.log(self.doc_len + mu)
-            logs.setflags(write=False)
-            self._log_len[mu] = logs
-        return logs
-
-    def ql_terms(self, mu: float) -> dict[str, tuple]:
-        """The entries ``ql_term`` has computed for mu, by term. A caller
-        reads hits here and asks ``ql_term`` for the rest; it must not
-        write."""
-        weights = self._ql_terms.get(mu)
-        if weights is None:
-            weights = self._ql_terms[mu] = {}
-        return weights
-
-    def ql_term(self, term: str, mu: float) -> tuple[np.float64, np.ndarray, np.ndarray] | None:
-        """(ln(mu p(w|C)), positions, ln(tf + mu p(w|C)) - ln(mu p(w|C))) of
-        the term's postings, computed once per (term, mu); None for a term
-        absent from the collection. The arrays are read-only."""
-        weights = self.ql_terms(mu)
-        entry = weights.get(term)
-        if entry is None:
-            p_c = collection_prob(self, term)
-            if p_c == 0.0:
-                return None
-            log_smooth = np.log(mu * p_c)
-            positions, tfs = self.postings[term]
-            ratio = np.log(tfs + mu * p_c) - log_smooth
-            ratio.setflags(write=False)
-            entry = weights[term] = (log_smooth, positions, ratio)
-        return entry
+    def cached(self, key, build):
+        """build()'s value, computed once per key and kept on the index;
+        callers must not modify it."""
+        return memo(self._memo, key, build)
 
     def row(self, passage: Passage) -> tuple[np.ndarray, np.ndarray]:
         """The passage's forward row: its ascending term ids and their tfs."""
@@ -117,21 +82,26 @@ class Index:
     def term_counts(self, passage: Passage) -> Mapping[str, int]:
         """{term: tf} of the passage, read from its forward row in term order
         on the first call and kept: a read-only mapping."""
-        counts = self._counts.get(passage.passage_id)
-        if counts is None:
+        def build():
             term_ids, tfs = self.row(passage)
             terms = self.terms
-            counts = self._counts[passage.passage_id] = MappingProxyType(
-                {terms[t]: tf for t, tf in zip(term_ids.tolist(), tfs.tolist())})
-        return counts
+            return MappingProxyType({terms[t]: tf for t, tf in zip(term_ids.tolist(), tfs.tolist())})
+        return memo(self.cached("counts", dict), passage.passage_id, build)
 
     def tfidf_row(self, passage: Passage) -> Mapping[str, float]:
         """``tfidf_vector`` of the passage, computed on the first call and
         kept: a read-only mapping."""
-        row = self._tfidf_rows.get(passage.passage_id)
-        if row is None:
-            row = self._tfidf_rows[passage.passage_id] = MappingProxyType(tfidf_vector(passage, self))
-        return row
+        return memo(self.cached("tfidf", dict), passage.passage_id,
+                    lambda: MappingProxyType(tfidf_vector(passage, self)))
+
+
+def memo(table: dict, key, build):
+    """table[key], set to build() on the first call for the key; a None value
+    counts as absent."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build()
+    return value
 
 
 def build_index(collection: PassageCollection) -> Index:

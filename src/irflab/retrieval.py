@@ -38,6 +38,10 @@ ids tuple (the index's; a list built from entries has its own) and their
 scores as two arrays, and fused_rank re-ranks those arrays. Passage ids are
 built only when read, for a shown block, a tail or a run file, and entries
 on every read.
+
+Query likelihood's logs at each mu (``ql_weights``) are computed here and
+kept in the index's memo (see ``irflab.index``); the other scorers keep
+nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Query
-from .index import Index, TermVector, idf, query_counts
+from .index import Index, TermVector, collection_prob, idf, query_counts
 
 logger = logging.getLogger(__name__)
 
@@ -206,6 +210,17 @@ def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth
     return RankedList.at_positions(query_id, index.ids, top, scores[top])
 
 
+def ql_weights(index: Index, mu: float) -> tuple[np.ndarray, dict[str, tuple]]:
+    """ln(|d| + mu) of every passage and, by term, the (ln(mu p(w|C)),
+    positions, ln(tf + mu p(w|C)) - ln(mu p(w|C))) of the postings of each
+    term ``ql_scores`` has scored at mu: kept on the index, all read-only."""
+    def build():
+        log_len = np.log(index.doc_len + mu)
+        log_len.setflags(write=False)
+        return log_len, {}
+    return index.cached(("ql", mu), build)
+
+
 def ql_scores(query_model: Mapping[str, float], index: Index, params: RetrievalParams) -> np.ndarray:
     """Score passages by sum_w P(w|Q) * ln[(tf + mu p(w|C)) / (|d| + mu)].
 
@@ -213,32 +228,36 @@ def ql_scores(query_model: Mapping[str, float], index: Index, params: RetrievalP
     absent from the collection (p(w|C) = 0) are skipped with a warning, on
     every call, and leave the remaining weights untouched.
 
-    Each term's logs come from ``Index.ql_term``, computed on the first
-    call that scores the (term, mu) pair and kept on the index: 8 bytes per
-    posting per distinct mu. A call looks up mu's entries once and reads
-    each term there, asking ``ql_term`` only for terms not yet scored. It
-    adds ``weight`` times the logs, so its scores are bit for bit those of
+    A term's logs are computed on the first call that scores the (term, mu)
+    pair and kept in mu's ``ql_weights``: 8 bytes per posting per distinct
+    mu. A call looks up mu's table once and reads each term there. It adds
+    ``weight`` times the logs, so its scores are bit for bit those of
     taking the logs afresh.
     """
     if not query_model:
         raise ValueError("empty query model")
     mu = params.mu
-    cached = index.ql_terms(mu)
+    log_len, cached = ql_weights(index, mu)
     scores = np.zeros(index.passage_count, dtype=np.float64)
     kept_weight = 0.0
     const = 0.0
     for term, weight in query_model.items():
         entry = cached.get(term)
         if entry is None:
-            entry = index.ql_term(term, mu)
-        if entry is None:
-            logger.warning("query term %r unseen in collection; skipped", term)
-            continue
+            p_c = collection_prob(index, term)
+            if p_c == 0.0:
+                logger.warning("query term %r unseen in collection; skipped", term)
+                continue
+            positions, tfs = index.postings[term]
+            log_smooth = np.log(mu * p_c)
+            ratio = np.log(tfs + mu * p_c) - log_smooth
+            ratio.setflags(write=False)
+            entry = cached[term] = (log_smooth, positions, ratio)
         log_smooth, positions, ratio = entry
         kept_weight += weight
         const += weight * log_smooth
         scores[positions] += weight * ratio
-    scores += const - kept_weight * index.log_len_plus(mu)
+    scores += const - kept_weight * log_len
     scores.setflags(write=False)
     return scores
 
@@ -325,23 +344,24 @@ def rank_rocchio(
     return _take_top(index, rocchio_scores(query_vec, index), exclude, depth, query_id)
 
 
+def _write_trec(path, rankings: Iterable[tuple[str, Iterable[str], Iterable[float]]], tag: str) -> None:
+    """One TREC run line per rank of each (query_id, ranked ids, their scores)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for query_id, ids, scores in rankings:
+            for rank, (pid, score) in enumerate(zip(ids, scores), start=1):
+                fh.write(f"{query_id} Q0 {pid} {rank} {score:.6f} {tag}\n")
+
+
 def write_run(path, rankings: Iterable[RankedList], tag: str = "irflab") -> None:
     """Write rankings in TREC run format: qid Q0 pid rank score tag."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ranked in rankings:
-            for rank, (pid, score) in enumerate(zip(ranked.ids(), ranked.scores.tolist()), start=1):
-                fh.write(f"{ranked.query_id} Q0 {pid} {rank} {score:.6f} {tag}\n")
+    _write_trec(path, ((ranked.query_id, ranked.ids(), ranked.scores.tolist()) for ranked in rankings), tag)
 
 
 def write_ranked_ids(path, rankings: Iterable[tuple[str, Sequence[str]]], tag: str = "irflab") -> None:
     """Write (query_id, ordered passage ids) pairs in TREC run format. The
     id at rank r of n gets the score n - r + 1, so scores descend with rank;
     a list with no scores of its own (a freezing ranking) is written so."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id, ids in rankings:
-            n = len(ids)
-            for rank, pid in enumerate(ids, start=1):
-                fh.write(f"{query_id} Q0 {pid} {rank} {float(n - rank + 1):.6f} {tag}\n")
+    _write_trec(path, ((query_id, ids, map(float, range(len(ids), 0, -1))) for query_id, ids in rankings), tag)
 
 
 def read_run(path) -> dict[str, list[tuple[str, float]]]:

@@ -18,9 +18,14 @@ embedding model) share two kinds of cached work, both exact:
     the relevant pool's centroid per (pool, representation mode). A step
     that is computed pays only for the passages and pools no earlier step
     has read. It holds a float per passage read per mu or ErmParams and a
-    vector per distinct pool, and lives as long as the memo. Term counts
-    and tf-idf rows, which depend on no query, are kept by the index (see
-    ``irflab.index``).
+    vector per distinct pool, and lives as long as the memo.
+
+Every cache is one owner's memo, filled through ``irflab.index.memo``: a
+session memo lives as long as its caller keeps it, the index's
+(``Index.cached``: term counts, tf-idf rows, query likelihood's logs) as
+long as the index, the embedding model's (``EmbeddingModel.cached``: ERM's
+translation tables, unit word vectors, fusion's row map) as long as the
+model.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .feedback import (
     update_pools,
 )
 from .fusion import FusionConfig, fused_rank
-from .index import Index, query_tfidf
+from .index import Index, memo, query_tfidf
 from .retrieval import (
     RankedList,
     RetrievalParams,
@@ -176,16 +181,10 @@ class _SessionModel:
             raise ValueError(f"query {query.query_id!r} has no indexable tokens")
         self.first_ranking_done = False
 
-    def _step(self, key: tuple, compute: Callable[[], object]):
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = compute()
-        return value
-
     def _query_weights(self) -> Mapping[str, float]:
         if self.kind == "lm":
-            return self._step(("mle",), lambda: MappingProxyType(query_mle(self.query)))
-        return self._step(("tfidf",), lambda: MappingProxyType(query_tfidf(self.query, self.ctx.index)))
+            return memo(self.memo, ("mle",), lambda: MappingProxyType(query_mle(self.query)))
+        return memo(self.memo, ("tfidf",), lambda: MappingProxyType(query_tfidf(self.query, self.ctx.index)))
 
     def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None,
              per_iter: int | None = None) -> RankedList:
@@ -209,17 +208,14 @@ class _SessionModel:
             score_key = ("rocchio", tuple(weights.items()))
             score = lambda: rocchio_scores(weights, ctx.index)
         key = (score_key, depth, exclude)
-        ranked = self._step(key, lambda: _take_top(
-            ctx.index, self._step(score_key, score), exclude, depth, self.query.query_id))
+        ranked = memo(self.memo, key, lambda: _take_top(
+            ctx.index, memo(self.memo, score_key, score), exclude, depth, self.query.query_id))
         if not fused:
             return ranked
         if ctx.embeddings is None:
             raise ValueError("fusion requires an embedding model in the context")
-        return self._step(
-            ("fused", key, state.relevant_pool, fusion),
-            lambda: fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index,
-                               cache=self.evidence),
-        )
+        return memo(self.memo, ("fused", key, state.relevant_pool, fusion), lambda: fused_rank(
+            ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index, cache=self.evidence))
 
     def reestimate(self, state: FeedbackState) -> None:
         ctx = self.ctx
@@ -231,8 +227,8 @@ class _SessionModel:
 
         self.first_ranking_done = True
         if self.method == "rocchio":
-            self.weights = self._step(("rocchio_update", rel, nonrel, fb), lambda: MappingProxyType(rocchio_update(
-                self._query_weights(), passages(rel), passages(nonrel), ctx.index, fb)))
+            self.weights = memo(self.memo, ("rocchio_update", rel, nonrel, fb), lambda: MappingProxyType(
+                rocchio_update(self._query_weights(), passages(rel), passages(nonrel), ctx.index, fb)))
             return
         if not rel:
             # No positive evidence yet: keep the maximum-likelihood query model.
@@ -253,7 +249,12 @@ class _SessionModel:
                 self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu, cache=self.evidence)
         else:
             raise ValueError(f"unknown method {self.method!r}")
-        self.weights = self._step(key, lambda: MappingProxyType(compute()))
+        self.weights = memo(self.memo, key, lambda: MappingProxyType(compute()))
+
+
+def _depth(depth: int | None, state: FeedbackState) -> int:
+    """``depth``, or by default 100 plus the number of results shown so far."""
+    return depth if depth is not None else 100 + len(state.shown)
 
 
 def run_irf_session(
@@ -276,8 +277,7 @@ def run_irf_session(
     trace: list[TraceStep] = []
     early = False
     for iteration in range(cfg.iterations):
-        depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-        ranked = model.rank(state, depth, cfg.fusion, per_iter=cfg.per_iter)
+        ranked = model.rank(state, _depth(cfg.depth, state), cfg.fusion, per_iter=cfg.per_iter)
         block = ranked.head(cfg.per_iter)
         if len(block) < cfg.per_iter:
             early = True
@@ -294,8 +294,7 @@ def run_irf_session(
         trace.append(TraceStep(judged, model.weights))
         if early:
             break
-    depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
-    tail = model.rank(state, depth, cfg.fusion)
+    tail = model.rank(state, _depth(cfg.depth, state), cfg.fusion)
     frozen = FrozenRanking(
         query_id=query.query_id,
         shown_blocks=tuple(blocks),
@@ -346,15 +345,15 @@ def run_one_rel_experiment(
                        query.query_id, len(rel_ids))
         return []
     rng = np.random.default_rng(seed)
-    memo: dict = {}  # draws that feed the same passage share their steps
+    steps: dict = {}  # draws that feed the same passage share their steps
     out: list[OneRelDraw] = []
     for draw in range(draws):
         fed = rel_ids[int(rng.integers(len(rel_ids)))]
         topic_id = f"{query.query_id}.d{draw}"
         state = update_pools(FeedbackState(), [(fed, True)])
-        k = depth if depth is not None else 100 + 1
+        k = _depth(depth, state)
         if method in RF_METHODS:
-            model = _SessionModel(query, method, ctx, memo)
+            model = _SessionModel(query, method, ctx, steps)
             model.reestimate(state)
             ranked = model.rank(state, k, fusion)
         else:

@@ -261,6 +261,37 @@ class TestThreadsFlag:
         assert (out / "corpus.jsonl").exists()
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_exits_2_on_every_command_before_any_work(self, synth_dir, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "cfg.json", experiment_config(synth_dir, tmp_path / "cfg-out"))
+        run, qrels = tmp_path / "a.run", str(synth_dir / "qrels.txt")
+        run.write_text("q000 Q0 p1 1 1.0 t\n")
+        outputs = [tmp_path / name for name in ("synth", "m.emb", "irf", "onerel")]
+        commands = (
+            ["gen-synth", "--output-dir", str(outputs[0])],
+            ["train-embeddings", "--corpus", str(synth_dir / "corpus.jsonl"), "--mode", "pvc",
+             "--out", str(outputs[1]), "--dim", "4", "--epochs", "1"],
+            ["run-irf", "--config", cfg, "--output-dir", str(outputs[2])],
+            ["run-onerel", "--config", cfg, "--output-dir", str(outputs[3])],
+            ["eval", "--run", str(run), "--qrels", qrels],
+            ["significance", "--run-a", str(run), "--run-b", str(run), "--qrels", qrels],
+        )
+        for argv in commands:
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(*argv, "--seed", seed)
+            assert exit_.value.code == 2
+            captured = capsys.readouterr()
+            assert f"argument --seed: expected an integer >= 0, got '{seed}'" in captured.err
+            assert "p-value" not in captured.out and "map100" not in captured.out
+        assert not any(path.exists() for path in outputs)
+        assert not (tmp_path / "cfg-out").exists()
+
+    def test_seed_zero_accepted(self):
+        from irflab.cli import build_parser
+        assert build_parser().parse_args(["gen-synth", "--seed", "0"]).seed == 0
+
+
 class TestRunIrfWithEmbeddings:
     def test_erm_and_fusion_pipeline(self, synth_dir, tmp_path):
         model_path = tmp_path / "pvc.emb"
@@ -379,6 +410,23 @@ class TestEvalAndSignificance:
         empty.write_text("")
         _, _, qrels = run_files
         assert run_cli("eval", "--run", str(empty), "--qrels", str(qrels)) == 1
+
+    def test_passage_ranked_twice_fails_eval_and_significance(self, tmp_path, capsys):
+        # one relevant passage of ten, ranked three times: map100 would read 0.3, not 0.1
+        dup, clean, qrels = tmp_path / "dup.run", tmp_path / "clean.run", tmp_path / "qrels.txt"
+        qrels.write_text("".join(f"q1 0 p{i} 1\n" for i in range(10)))
+        dup.write_text("q1 Q0 p0 1 3.0 t\nq1 Q0 p0 2 2.0 t\nq1 Q0 p0 3 1.0 t\n")
+        clean.write_text("q1 Q0 p0 1 3.0 t\nq1 Q0 x1 2 2.0 t\n")
+        assert run_cli("eval", "--run", str(clean), "--qrels", str(qrels), "--metrics", "map100") == 0
+        assert "map100: 0.1000" in capsys.readouterr().out
+        message = f"{dup}: query 'q1' ranks passage 'p0' more than once"
+        assert run_cli("eval", "--run", str(dup), "--qrels", str(qrels), "--metrics", "map100") == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "map100" not in captured.out
+        for run_a, run_b in ((dup, clean), (clean, dup)):
+            assert run_cli("significance", "--run-a", str(run_a), "--run-b", str(run_b), "--qrels", str(qrels)) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err and "p-value" not in captured.out
 
     def test_significance_same_run_is_one(self, run_files, capsys):
         run_a, _, qrels = run_files

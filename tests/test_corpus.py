@@ -309,6 +309,13 @@ class TestQueries:
         assert [q.query_id for q in queries] == ["q1", "q2"]
         assert queries[0].tokens == ("hello", "world")
 
+    def test_duplicate_query_id_names_path_and_line(self, tmp_path, plain_config):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q000\thello world\nq001\tanother one\nq000\tcompletely different words here\n")
+        with pytest.raises(ValueError) as exc:
+            load_queries(path, plain_config)
+        assert str(exc.value) == f"{path}: line 3: duplicate query id 'q000'"
+
     def test_missing_tab_rejected(self, tmp_path, plain_config):
         path = tmp_path / "queries.tsv"
         path.write_text("q1 hello world\n")

@@ -1,0 +1,73 @@
+"""Static checks over the sources, read with the stdlib ``ast`` module:
+no module imports a name it never uses, and no private function or class
+of the package is left without a caller in the package (a helper that
+only tests call belongs in the tests)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "irflab"
+MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+RE_EXPORTING = {PACKAGE / "__init__.py"}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) of every import in the module, nested ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names the module reads: every Name node, and the strings listed
+    in an ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p not in RE_EXPORTING],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = read_names(tree)
+    unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.relative_to(ROOT)} imports names it never uses: {unused}"
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = []
+    referenced: dict[str, int] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path, node.name))
+            elif isinstance(node, ast.Name):
+                referenced[node.id] = referenced.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                referenced[node.attr] = referenced.get(node.attr, 0) + 1
+    unreferenced = [f"{path.name}: {name}" for path, name in defined if not referenced.get(name)]
+    assert not unreferenced, f"private definitions nothing in src/irflab refers to: {unreferenced}"
+
+
+def test_the_checks_catch_what_they_are_for():
+    stale = ast.parse("import os\nfrom typing import Mapping, Sequence\n\nx: Mapping = {}\n")
+    assert [name for name, _ in imported_names(stale) if name not in read_names(stale)] == ["os", "Sequence"]
+    exported = ast.parse("from .a import f\n__all__ = ['f']\n")
+    assert all(name in read_names(exported) for name, _ in imported_names(exported))

@@ -352,11 +352,13 @@ class TestCachedQL:
         for model in models:
             for term in model:
                 for mu in mus:
-                    entry = idx.ql_term(term, mu)
+                    log_len, weights = retrieval.ql_weights(idx, mu)
+                    with pytest.raises(ValueError):
+                        log_len[0] = 0.0
                     if term not in idx:
-                        assert entry is None
+                        assert term not in weights
                         continue
-                    _, positions, ratio = entry
+                    _, positions, ratio = weights[term]
                     with pytest.raises(ValueError):
                         ratio[0] = 0.0
                     with pytest.raises(ValueError):
