@@ -19,7 +19,7 @@ from . import __version__
 from .config import ConfigError, load_experiment_config, tokenizer_from_config
 from .corpus import TokenizerConfig, ingest_corpus
 from .embeddings import TrainConfig, save_model, train_pv_hdc, train_skipgram
-from .evaluation import METRICS, SIGNIFICANCE_THRESHOLD
+from .evaluation import DEFAULT_PERMUTATIONS, METRICS, SIGNIFICANCE_THRESHOLD
 from .experiments import (
     evaluate_run_file,
     format_table,
@@ -57,14 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"irflab {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    gen, train = GeneratorConfig(), TrainConfig()  # the flags' defaults are the configs'
 
     p = sub.add_parser("gen-synth", help="generate a seeded synthetic dataset")
     p.add_argument("--config", help="experiment config (seed/output_dir) or omit for defaults")
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--relevant-per-query", type=int, default=10)
-    p.add_argument("--noise", type=int, default=1500)
-    p.add_argument("--vocab", type=int, default=500)
-    p.add_argument("--concentration", type=float, default=0.6)
+    p.add_argument("--queries", type=int, default=gen.num_queries)
+    p.add_argument("--relevant-per-query", type=int, default=gen.passages_per_query_relevant)
+    p.add_argument("--noise", type=int, default=gen.num_noise_passages)
+    p.add_argument("--vocab", type=int, default=gen.vocab_size)
+    p.add_argument("--concentration", type=float, default=gen.topic_concentration)
     _add_common(p)
 
     p = sub.add_parser("train-embeddings", help="train word/passage embeddings")
@@ -73,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=sorted(CLI_TRAIN_MODES), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--negatives", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--corruption-q", type=float, default=0.9)
+    p.add_argument("--dim", type=int, default=train.dim)
+    p.add_argument("--negatives", type=int, default=train.negatives)
+    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--window", type=int, default=train.window)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--corruption-q", type=float, default=train.corruption_q)
     _add_common(p)
 
     p = sub.add_parser("run-irf", help="iterative feedback sessions with freezing evaluation")
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--metric", default="map100", choices=METRICS)
-    p.add_argument("--permutations", type=int, default=100_000)
+    p.add_argument("--permutations", type=int, default=DEFAULT_PERMUTATIONS)
     _add_common(p)
     return parser
 

@@ -92,11 +92,6 @@ class TokenizerConfig:
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
 
     @classmethod
-    def none(cls) -> "TokenizerConfig":
-        """No stopping, no stemming: token extraction only."""
-        return cls(stopwords=frozenset(), stemming="none")
-
-    @classmethod
     def embedding(cls) -> "TokenizerConfig":
         """Embedding-corpus preprocessing: stopwords removed, no stemming."""
         return cls(stopwords=DEFAULT_STOPWORDS, stemming="none")

@@ -42,6 +42,7 @@ from .config import (
 from .corpus import Judgments, Query, TokenizerConfig, ingest_corpus, load_qrels, load_queries
 from .embeddings import EmbeddingModel, load_model
 from .evaluation import (
+    DEFAULT_PERMUTATIONS,
     MetricResult,
     assign_folds,
     cross_validate_grid,
@@ -94,8 +95,13 @@ def load_engine(cfg: dict) -> Engine:
         erm=erm_from_config(cfg),
         embeddings=embeddings,
     )
-    queries = [q for q in queries if q.tokens]
-    return Engine(ctx=ctx, queries=queries, qrels=qrels)
+    kept = []
+    for query in queries:  # load_queries has warned about the token-less ones
+        if any(token in ctx.index for token in query.tokens):
+            kept.append(query)
+        elif query.tokens:
+            logger.warning("query %s: no token occurs in the collection; dropped", query.query_id)
+    return Engine(ctx=ctx, queries=kept, qrels=qrels)
 
 
 def _check_model_tokenizer(model: EmbeddingModel, tokenizer: TokenizerConfig, path) -> None:
@@ -248,16 +254,12 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
 
     summary: dict[str, dict[str, float]] = {}
     for method in methods:
-        all_draws = []
-        for query in engine.queries:
-            all_draws.extend(run_one_rel_experiment(
-                query, engine.qrels, method, engine.ctx,
-                fusion=fusion if method not in ("ql", "bm25") else None,
-                depth=depth, draws=draws, seed=seed))
-        write_run(out_dir / f"run_onerel_{method}.txt", [d.ranking for d in all_draws], tag=f"onerel_{method}")
+        all_draws = [(query, draw) for query in engine.queries for draw in run_one_rel_experiment(
+            query, engine.qrels, method, engine.ctx, fusion=fusion, depth=depth, draws=draws, seed=seed)]
+        write_run(out_dir / f"run_onerel_{method}.txt", [d.ranking for _, d in all_draws], tag=f"onerel_{method}")
         per_metric = score_rankings(
-            ((d.topic_id, d.ranking.ids(),
-              engine.qrels.relevant_ids(d.topic_id.rsplit(".d", 1)[0]) - {d.fed_passage}) for d in all_draws),
+            ((d.topic_id, d.ranking.ids(), engine.qrels.relevant_ids(query.query_id) - {d.fed_passage})
+             for query, d in all_draws),
             metrics)
         _write_per_query_csv(out_dir / f"perquery_onerel_{method}.csv", per_metric)
         summary[method] = {m: res.mean for m, res in per_metric.items()}
@@ -279,7 +281,7 @@ def evaluate_run_file(run_path, qrels_path, metrics: Sequence[str]) -> dict[str,
 
 
 def significance_between(run_a, run_b, qrels_path, metric: str,
-                         permutations: int = 100_000, seed: int = 0) -> float:
+                         permutations: int = DEFAULT_PERMUTATIONS, seed: int = 0) -> float:
     a = evaluate_run_file(run_a, qrels_path, [metric])[metric].per_query
     b = evaluate_run_file(run_b, qrels_path, [metric])[metric].per_query
     return fisher_randomization(a, b, permutations=permutations, seed=seed)

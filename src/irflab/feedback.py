@@ -88,7 +88,6 @@ class FeedbackState:
     relevant_pool: tuple[str, ...] = ()
     nonrelevant_pool: tuple[str, ...] = ()
     shown: frozenset[str] = frozenset()
-    iteration: int = 0
 
 
 def update_pools(state: FeedbackState, judged: Sequence[tuple[str, bool]]) -> FeedbackState:
@@ -108,7 +107,6 @@ def update_pools(state: FeedbackState, judged: Sequence[tuple[str, bool]]) -> Fe
         relevant_pool=tuple(rel),
         nonrelevant_pool=tuple(nonrel),
         shown=state.shown | seen_now,
-        iteration=state.iteration + 1,
     )
 
 

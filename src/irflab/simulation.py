@@ -1,12 +1,15 @@
 """Simulated feedback sessions and freezing-rank construction.
 
 A session alternates ranking and judging: the top N unshown results of the
-current query model are shown, judged against the qrels, folded into the
-pools, and the model is re-estimated. Shown results keep their presentation
-ranks (iteration i occupies ranks i*N+1 .. (i+1)*N); after the last
-iteration's judgments the final model ranks all remaining candidates as the
-tail. Language-model methods (rm3, distillation, erm) start from Query
-Likelihood; rocchio starts from BM25 and re-ranks by tf-idf dot product.
+current query model are shown, judged against the qrels and folded into the
+pools. Shown results keep their presentation ranks (iteration i occupies
+ranks i*N+1 .. (i+1)*N); after the last iteration's judgments the final
+model ranks all remaining candidates as the tail. The query model and the
+ranking are functions of the pools and the shown set (``_SessionModel``),
+for the four feedback methods and the two no-feedback baselines alike:
+language-model methods (rm3, distillation, erm) start from Query
+Likelihood; rocchio starts from BM25 and re-ranks by tf-idf dot product;
+ql and bm25 ignore the judgments.
 
 Sessions that share a memo (one query over one collection, index and
 embedding model) share two kinds of cached work, both exact:
@@ -34,7 +37,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import AbstractSet, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,8 +62,6 @@ from .retrieval import (
     _take_top,
     bm25_scores,
     ql_scores,
-    rank_bm25,
-    rank_ql,
     rocchio_scores,
 )
 
@@ -142,17 +143,24 @@ class SessionResult:
 
 
 class _SessionModel:
-    """Current query weights plus the scorer matching the method family.
+    """A session's steps as functions of its feedback state.
 
-    ``weights`` is the query model (rocchio: the tf-idf vector), first the
-    query's own, then each re-estimate. These, and every scoring, ranking
-    and fusion, go through ``memo``, keyed on exactly the inputs the call
-    reads; a step already taken with the same inputs is looked up, not
-    recomputed. A ranking is two steps: the score array of the weights
-    (keyed on their ordered items, because ql_scores sums the terms in that
-    order, and on the scorer's parameters), then its top for one depth and
-    excluded set, so weights that survive a judgment are scored once. Every
-    memo value is read-only and shared (arrays not writeable, weights
+    ``weights(state)`` is the query model after the state's judgments: for
+    ql the query's MLE and for bm25 its tf-idf vector; for rm3,
+    distillation and erm the MLE until the first relevant passage, then the
+    method's estimate from the pools; for rocchio the tf-idf vector until
+    the first judgment, then ``rocchio_update``. ``rank(state, ...)`` scores
+    those weights by QL (ql and the language-model methods), by BM25 (bm25,
+    and rocchio before anything is shown) or by the tf-idf dot product
+    (rocchio after that), and ranks the unshown passages.
+
+    Every step goes through ``memo``, keyed on exactly the inputs it reads;
+    a step already taken with the same inputs is looked up, not recomputed.
+    A ranking is two steps: the score array of the weights (keyed on their
+    ordered items, because ql_scores sums the terms in that order, and on
+    the scorer's parameters), then its top for one depth and excluded set,
+    so weights that survive a judgment are scored once. Every memo value is
+    read-only and shared (arrays not writeable, weights
     ``MappingProxyType``s). The keys leave out what the memo's scope holds
     fixed: the query, the collection, the index and the embedding model.
 
@@ -175,33 +183,60 @@ class _SessionModel:
         self.ctx = ctx
         self.memo = memo
         self.evidence = memo.setdefault("evidence", {})
-        self.kind = "lm" if method in LM_METHODS else "vsm"
-        self.weights = self._query_weights()
-        if not self.weights:
+        if method == "rocchio" and not self.weights(FeedbackState()):
             raise ValueError(f"query {query.query_id!r} has no indexable tokens")
-        self.first_ranking_done = False
 
-    def _query_weights(self) -> Mapping[str, float]:
-        if self.kind == "lm":
+    def weights(self, state: FeedbackState) -> Mapping[str, float]:
+        """The query model after the state's judgments (see the class docstring)."""
+        ctx, method = self.ctx, self.method
+        rel, nonrel = state.relevant_pool, state.nonrelevant_pool
+        fb, mu = ctx.feedback, ctx.retrieval.mu
+        if method in ("bm25", "rocchio"):
+            tfidf = memo(self.memo, ("tfidf",), lambda: MappingProxyType(query_tfidf(self.query, ctx.index)))
+            if method == "bm25" or not state.shown:
+                return tfidf
+        elif method == "ql" or not rel:
             return memo(self.memo, ("mle",), lambda: MappingProxyType(query_mle(self.query)))
-        return memo(self.memo, ("tfidf",), lambda: MappingProxyType(query_tfidf(self.query, self.ctx.index)))
+
+        def passages(pids: tuple[str, ...]) -> list[Passage]:
+            return [ctx.collection[pid] for pid in pids]
+
+        if method == "rocchio":
+            key = ("rocchio_update", rel, nonrel, fb)
+            compute = lambda: rocchio_update(tfidf, passages(rel), passages(nonrel), ctx.index, fb)
+        elif method == "rm3":
+            key = ("rm3", rel, fb, mu)
+            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu, cache=self.evidence)
+        elif method == "distillation":
+            key = ("distillation", rel, nonrel, fb)
+            compute = lambda: estimate_distillation(
+                self.query, passages(rel), passages(nonrel), ctx.index, fb)
+        elif method == "erm":
+            if ctx.erm is None or ctx.embeddings is None:
+                raise ValueError("erm sessions need ErmParams and an embedding model in the context")
+            key = ("erm", rel, fb, ctx.erm, mu)
+            compute = lambda: estimate_erm(
+                self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu, cache=self.evidence)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        return memo(self.memo, key, lambda: MappingProxyType(compute()))
 
     def rank(self, state: FeedbackState, depth: int, fusion: FusionConfig | None,
              per_iter: int | None = None) -> RankedList:
-        """The current model's ranking of the unshown passages, fused with
-        the relevant pool when fusion is on and the pool is not empty. A
-        caller that reads only the first ``per_iter`` rows gets an unfused
+        """The ranking of the unshown passages by ``weights(state)``, fused
+        with the relevant pool when fusion is on and the pool is not empty.
+        A caller that reads only the first ``per_iter`` rows gets an unfused
         ranking taken no deeper."""
         ctx = self.ctx
         exclude = state.shown
         fused = fusion is not None and bool(state.relevant_pool)
         if per_iter is not None and not fused:
             depth = min(depth, per_iter)
-        weights, params = self.weights, ctx.retrieval
-        if self.kind == "lm":
+        weights, params = self.weights(state), ctx.retrieval
+        if self.method not in ("bm25", "rocchio"):
             score_key = ("ql", tuple(weights.items()), params.mu)
             score = lambda: ql_scores(weights, ctx.index, params)
-        elif not self.first_ranking_done:
+        elif self.method == "bm25" or not exclude:
             score_key = ("bm25", params.k1, params.b)
             score = lambda: bm25_scores(self.query, ctx.index, params)
         else:
@@ -216,40 +251,6 @@ class _SessionModel:
             raise ValueError("fusion requires an embedding model in the context")
         return memo(self.memo, ("fused", key, state.relevant_pool, fusion), lambda: fused_rank(
             ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index, cache=self.evidence))
-
-    def reestimate(self, state: FeedbackState) -> None:
-        ctx = self.ctx
-        rel, nonrel = state.relevant_pool, state.nonrelevant_pool
-        fb, mu = ctx.feedback, ctx.retrieval.mu
-
-        def passages(pids: tuple[str, ...]) -> list[Passage]:
-            return [ctx.collection[pid] for pid in pids]
-
-        self.first_ranking_done = True
-        if self.method == "rocchio":
-            self.weights = memo(self.memo, ("rocchio_update", rel, nonrel, fb), lambda: MappingProxyType(
-                rocchio_update(self._query_weights(), passages(rel), passages(nonrel), ctx.index, fb)))
-            return
-        if not rel:
-            # No positive evidence yet: keep the maximum-likelihood query model.
-            self.weights = self._query_weights()
-            return
-        if self.method == "rm3":
-            key = ("rm3", rel, fb, mu)
-            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu, cache=self.evidence)
-        elif self.method == "distillation":
-            key = ("distillation", rel, nonrel, fb)
-            compute = lambda: estimate_distillation(
-                self.query, passages(rel), passages(nonrel), ctx.index, fb)
-        elif self.method == "erm":
-            if ctx.erm is None or ctx.embeddings is None:
-                raise ValueError("erm sessions need ErmParams and an embedding model in the context")
-            key = ("erm", rel, fb, ctx.erm, mu)
-            compute = lambda: estimate_erm(
-                self.query, passages(rel), ctx.index, ctx.embeddings, fb, ctx.erm, mu=mu, cache=self.evidence)
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
-        self.weights = memo(self.memo, key, lambda: MappingProxyType(compute()))
 
 
 def _depth(depth: int | None, state: FeedbackState) -> int:
@@ -290,8 +291,7 @@ def run_irf_session(
         judged = tuple([(pid, qrels.is_relevant(query.query_id, pid)) for pid in block])
         state = update_pools(state, judged)
         blocks.append(block)
-        model.reestimate(state)
-        trace.append(TraceStep(judged, model.weights))
+        trace.append(TraceStep(judged, model.weights(state)))
         if early:
             break
     tail = model.rank(state, _depth(cfg.depth, state), cfg.fusion)
@@ -304,13 +304,10 @@ def run_irf_session(
     return SessionResult(frozen=frozen, trace=trace)
 
 
-def initial_ranking(query: Query, method: str, ctx: EngineContext, depth: int = 100,
-                    exclude: AbstractSet[str] = frozenset()) -> RankedList:
-    """The no-feedback retrieval a method starts from: QL of the query's MLE
-    for 'ql' and the language-model methods, BM25 for 'bm25' and rocchio."""
-    if method in LM_METHODS or method == "ql":
-        return rank_ql(query_mle(query), ctx.index, ctx.retrieval, depth, exclude, query_id=query.query_id)
-    return rank_bm25(query, ctx.index, ctx.retrieval, depth, exclude)
+def initial_ranking(query: Query, method: str, ctx: EngineContext, depth: int = 100) -> RankedList:
+    """The no-feedback retrieval a method starts from: its session's first
+    ranking, before any judgment."""
+    return _SessionModel(query, method, ctx, {}).rank(FeedbackState(), depth, None)
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ def run_one_rel_experiment(
     """Feed one uniformly drawn relevant passage as the sole positive
     judgment and rank the remaining candidates, `draws` times. Each draw is
     its own evaluation topic. Methods 'ql'/'bm25' ignore the feedback and
-    serve as baselines. Queries with fewer than two in-collection relevant
+    any fusion config, and serve as baselines. Queries with fewer than two in-collection relevant
     passages are skipped."""
     if method not in RF_METHODS + BASELINE_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -344,20 +341,18 @@ def run_one_rel_experiment(
         logger.warning("query %s has %d relevant passages; one-rel experiment skipped",
                        query.query_id, len(rel_ids))
         return []
+    if method in BASELINE_METHODS:
+        fusion = None
     rng = np.random.default_rng(seed)
-    steps: dict = {}  # draws that feed the same passage share their steps
+    # draws that feed the same passage share their steps, and a baseline's
+    # draws share one score array
+    model = _SessionModel(query, method, ctx, {})
     out: list[OneRelDraw] = []
     for draw in range(draws):
         fed = rel_ids[int(rng.integers(len(rel_ids)))]
         topic_id = f"{query.query_id}.d{draw}"
         state = update_pools(FeedbackState(), [(fed, True)])
-        k = _depth(depth, state)
-        if method in RF_METHODS:
-            model = _SessionModel(query, method, ctx, steps)
-            model.reestimate(state)
-            ranked = model.rank(state, k, fusion)
-        else:
-            ranked = initial_ranking(query, method, ctx, k, state.shown)
+        ranked = model.rank(state, _depth(depth, state), fusion)
         out.append(OneRelDraw(
             topic_id=topic_id,
             fed_passage=fed,

@@ -72,7 +72,8 @@ def random_token_lists(rng, n_passages, vocab_size, min_len=3, max_len=12):
 
 @pytest.fixture
 def plain_config():
-    return TokenizerConfig.none()
+    """No stopping, no stemming: token extraction only."""
+    return TokenizerConfig(stopwords=frozenset(), stemming="none")
 
 
 @pytest.fixture

@@ -1,16 +1,19 @@
 """End-to-end CLI behavior: commands, exit codes, reproducibility."""
 
+import inspect
 import json
 import logging
 
 import pytest
 
-from irflab.cli import main
+from irflab.cli import build_parser, main
 from irflab.config import ConfigError
 from irflab.corpus import TokenizerConfig
-from irflab.embeddings import load_model, save_model
-from irflab.experiments import load_engine
+from irflab.embeddings import TrainConfig, load_model, save_model
+from irflab.evaluation import DEFAULT_PERMUTATIONS
+from irflab.experiments import load_engine, significance_between
 from irflab.retrieval import read_run
+from irflab.synthgen import GeneratorConfig
 
 
 def run_cli(*argv):
@@ -83,14 +86,45 @@ class TestTrainEmbeddings:
         assert code == 2
 
     def test_default_flags_match_training_protocol(self):
-        from irflab.cli import build_parser
         args = build_parser().parse_args(
             ["train-embeddings", "--corpus", "x", "--mode", "pvc", "--out", "y"])
         assert (args.dim, args.negatives, args.learning_rate, args.batch_size) == (100, 10, 0.05, 256)
         assert args.corruption_q == 0.9
 
 
+class TestFlagDefaults:
+    def test_defaults_are_the_configs(self):
+        parser = build_parser()
+        gen = parser.parse_args(["gen-synth"])
+        assert GeneratorConfig(num_queries=gen.queries, passages_per_query_relevant=gen.relevant_per_query,
+                               num_noise_passages=gen.noise, vocab_size=gen.vocab,
+                               topic_concentration=gen.concentration) == GeneratorConfig()
+        train = vars(parser.parse_args(["train-embeddings", "--corpus", "x", "--mode", "pvc", "--out", "y"]))
+        fields = ("dim", "negatives", "learning_rate", "batch_size", "window", "epochs", "corruption_q")
+        assert {name: train[name] for name in fields} == {name: getattr(TrainConfig(), name) for name in fields}
+        significance = parser.parse_args(["significance", "--run-a", "a", "--run-b", "b", "--qrels", "q"])
+        assert significance.permutations == DEFAULT_PERMUTATIONS
+        assert inspect.signature(significance_between).parameters["permutations"].default == DEFAULT_PERMUTATIONS
+
+
 class TestRunIrf:
+    def test_query_with_no_token_in_the_collection_is_dropped(self, tmp_path, caplog):
+        # rm3 used to rank q2 on all-zero scores, then rocchio refused it and the run exited 1
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"p{i}", "doc_id": f"d{i}", "text": text}) + "\n"
+            for i, text in enumerate(["apple pie", "apple tart", "banana split", "cherry cake"])))
+        (tmp_path / "queries.tsv").write_text("q1\tapple\nq2\tzucchini\n")
+        (tmp_path / "qrels.txt").write_text("q1 0 p0 1\nq1 0 p1 1\nq2 0 p2 1\n")
+        out_dir = tmp_path / "out"
+        cfg = experiment_config(tmp_path, out_dir, session={"settings": [[1, 2]]},
+                                feedback={"methods": ["rm3", "rocchio"], "m": 5})
+        with caplog.at_level(logging.WARNING, logger="irflab"):
+            assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 0
+        for method in ("rm3", "rocchio"):
+            assert list(read_run(out_dir / f"run_irf_{method}_1x2.txt")) == ["q1"]
+        assert [r.getMessage() for r in caplog.records if "q2" in r.getMessage()] == [
+            "query q2: no token occurs in the collection; dropped"]
+
     def test_emits_runs_and_summaries(self, synth_dir, tmp_path):
         out_dir = tmp_path / "out"
         cfg = experiment_config(synth_dir, out_dir,

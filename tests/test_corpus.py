@@ -58,9 +58,8 @@ class TestTokenize:
     def test_empty_input(self):
         assert tokenize("", TokenizerConfig()) == []
 
-    def test_punctuation_delimits_words(self):
-        cfg = TokenizerConfig.none()
-        assert tokenize("one,two;three.four", cfg) == ["one", "two", "three", "four"]
+    def test_punctuation_delimits_words(self, plain_config):
+        assert tokenize("one,two;three.four", plain_config) == ["one", "two", "three", "four"]
 
     def test_s_stemmer_guards(self):
         cfg = TokenizerConfig(stopwords=frozenset(), stemming="s")
@@ -70,8 +69,8 @@ class TestTokenize:
         cfg = TokenizerConfig(stopwords=frozenset(), stemming="porter")
         assert tokenize("running jumped nationalization", cfg) == ["runn", "jump", "nationalize"]
 
-    def test_deterministic_and_idempotent_when_unstemmed(self, rng):
-        cfg = TokenizerConfig.none()
+    def test_deterministic_and_idempotent_when_unstemmed(self, rng, plain_config):
+        cfg = plain_config
         words = ["alpha", "beta2", "gamma", "x9"]
         for _ in range(50):
             text = " ".join(words[int(i)] for i in rng.integers(0, len(words), size=8))

@@ -119,8 +119,7 @@ class TestSessionMemo:
             models = []
             for _ in range(3):  # a miss, then two hits
                 model = _SessionModel(query, method, engine.ctx, memo)
-                model.reestimate(state)
-                models.append(model.weights)
+                models.append(model.weights(state))
             assert models[0] is models[1] is models[2]
             assert isinstance(models[0], MappingProxyType)
             stored = [key for key, value in memo.items() if value is models[0]]
@@ -132,10 +131,9 @@ class TestSessionMemo:
             with pytest.raises(TypeError):
                 models[1]["not-a-term"] = 1.0
             assert memo[stored[0]] is models[0] and dict(memo[stored[0]]) == before
-            model.reestimate(state)
-            assert model.weights is models[0] and dict(model.weights) == before
+            assert model.weights(state) is models[0] and dict(models[0]) == before
 
-    def test_rank_key_keeps_the_model_order(self, engine):
+    def test_rank_key_keeps_the_model_order(self, engine, monkeypatch):
         # rank_ql sums the terms in the model's order; two orders of the same
         # weights can differ in the last bit and must not share a memo entry
         ctx = engine.ctx
@@ -155,7 +153,7 @@ class TestSessionMemo:
         memo: dict = {}
         for model_dict, expected in zip((forward, backward), fresh):
             model = _SessionModel(query, "rm3", ctx, memo)
-            model.weights = MappingProxyType(model_dict)
+            monkeypatch.setattr(model, "weights", lambda state, weights=MappingProxyType(model_dict): weights)
             assert model.rank(FeedbackState(), 20, None) == expected
 
     def test_memo_belongs_to_one_query(self, engine):

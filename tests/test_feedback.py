@@ -118,13 +118,11 @@ class TestUpdatePools:
         assert state.relevant_pool == ("p1",)
         assert state.nonrelevant_pool == ("p2",)
         assert state.shown == {"p1", "p2"}
-        assert state.iteration == 1
 
     def test_pools_accumulate_across_iterations(self):
         state = update_pools(FeedbackState(), [("p1", True)])
         state = update_pools(state, [("p2", True)])
         assert state.relevant_pool == ("p1", "p2")
-        assert state.iteration == 2
 
     def test_rejudging_shown_rejected(self):
         state = update_pools(FeedbackState(), [("p1", True)])

@@ -1,7 +1,8 @@
 """Static checks over the sources, read with the stdlib ``ast`` module:
-no module imports a name it never uses, and no private function or class
-of the package is left without a caller in the package (a helper that
-only tests call belongs in the tests)."""
+no module imports a name it never uses, no private function or class of
+the package is left without a caller in the package, and no public one is
+left both unexported and unused by the package, the demos and the
+benchmarks (a helper that only tests call belongs in the tests)."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "irflab"
 MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+USERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")])
 RE_EXPORTING = {PACKAGE / "__init__.py"}
 
 
@@ -66,8 +68,35 @@ def test_every_private_definition_is_referenced_in_the_package():
     assert not unreferenced, f"private definitions nothing in src/irflab refers to: {unreferenced}"
 
 
+def unused_public(package: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """``module: name`` of each public function, method or class defined in
+    the package modules that no ``__all__`` lists and no user module names,
+    imports or reads as an attribute."""
+    used: set[str] = set()
+    for tree in users:
+        used |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return [f"{module}: {node.name}" for module, tree in package.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_definition_is_exported_or_used():
+    package = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    unused = unused_public(package, [parse(path) for path in USERS])
+    assert not unused, f"public definitions no __all__ lists and only tests use: {unused}"
+
+
 def test_the_checks_catch_what_they_are_for():
     stale = ast.parse("import os\nfrom typing import Mapping, Sequence\n\nx: Mapping = {}\n")
     assert [name for name, _ in imported_names(stale) if name not in read_names(stale)] == ["os", "Sequence"]
     exported = ast.parse("from .a import f\n__all__ = ['f']\n")
     assert all(name in read_names(exported) for name, _ in imported_names(exported))
+    module = ast.parse("class C:\n    def m(self): ...\n    def _p(self): ...\ndef f(): ...\ndef g(): ...\n"
+                       "def h(): ...\ndef k(): ...\n")
+    users = [ast.parse("from a import f\nc.m()\n__all__ = ['g']\n"), ast.parse("h()\n")]
+    assert unused_public({"a.py": module}, users) == ["a.py: C", "a.py: k"]

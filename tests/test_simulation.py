@@ -300,13 +300,13 @@ class TestFreezingProperty:
 def reference_rank(model, state, depth, fusion):
     """Oracle: the session ranking before scores and tops were memoized
     apart, with no memo; every ranking taken at the full depth."""
-    ctx, qid = model.ctx, model.query.query_id
-    if model.kind == "lm":
-        ranked = rank_ql(model.weights, ctx.index, ctx.retrieval, depth, state.shown, query_id=qid)
-    elif not model.first_ranking_done:
+    ctx, qid, weights = model.ctx, model.query.query_id, model.weights(state)
+    if model.method in simulation.LM_METHODS:
+        ranked = rank_ql(weights, ctx.index, ctx.retrieval, depth, state.shown, query_id=qid)
+    elif not state.shown:
         ranked = rank_bm25(model.query, ctx.index, ctx.retrieval, depth, state.shown)
     else:
-        ranked = rank_rocchio(model.weights, ctx.index, depth, state.shown, query_id=qid)
+        ranked = rank_rocchio(weights, ctx.index, depth, state.shown, query_id=qid)
     if fusion is None or not state.relevant_pool:
         return ranked
     return fused_rank(ranked, state, ctx.embeddings, fusion, ctx.collection, ctx.index)
@@ -327,8 +327,7 @@ def reference_session(query, qrels, cfg, ctx):
         judged = [(pid, qrels.is_relevant(query.query_id, pid)) for pid in block]
         state = update_pools(state, judged)
         blocks.append(block)
-        model.reestimate(state)
-        trace.append(TraceStep(tuple(judged), model.weights))
+        trace.append(TraceStep(tuple(judged), model.weights(state)))
         if early:
             break
     depth = cfg.depth if cfg.depth is not None else 100 + len(state.shown)
@@ -418,6 +417,33 @@ class TestOneRel:
         ctx, query, qrels = planted_context(rng)
         with pytest.raises(ValueError, match="unknown method"):
             run_one_rel_experiment(query, qrels, "pagerank", ctx)
+
+    @pytest.mark.parametrize("baseline", ["ql", "bm25"])
+    def test_baselines_and_first_rankings_equal_rank_ql_and_rank_bm25(self, rng, monkeypatch, baseline):
+        ctx, query, qrels = planted_context(rng)
+        coll = ctx.collection
+        ctx = dataclasses.replace(ctx, embeddings=EmbeddingModel(
+            vocab={"stub": 0}, word_vectors=np.zeros((1, 4)), context_vectors=np.zeros((1, 4)), dim=4,
+            passage_vectors=rng.normal(size=(len(coll), 4)), passage_ids=coll.ids))
+        fused = []
+        monkeypatch.setattr(simulation, "fused_rank", lambda *args, **kwargs: fused.append(args))
+
+        def oracle(depth, exclude=frozenset()):
+            """A baseline's ranking as rank_ql and rank_bm25 give it."""
+            if baseline == "ql":
+                return rank_ql(query_mle(query), ctx.index, ctx.retrieval, depth, exclude, query_id="q0")
+            return rank_bm25(query, ctx.index, ctx.retrieval, depth, exclude)
+
+        for fusion in (None, FusionConfig(lambda_sf=2.0, representation_mode="pv")):
+            draws = run_one_rel_experiment(query, qrels, baseline, ctx, fusion=fusion, draws=6, seed=5)
+            assert len({d.fed_passage for d in draws}) > 1
+            for d in draws:
+                assert d.ranking == oracle(101, {d.fed_passage}).relabel(d.topic_id)
+        assert not fused
+        starts_from = {"ql": ("ql",) + simulation.LM_METHODS, "bm25": ("bm25",) + simulation.VSM_METHODS}[baseline]
+        for method in starts_from:
+            for depth in (1, 100):
+                assert simulation.initial_ranking(query, method, ctx, depth) == oracle(depth)
 
     def test_fusion_and_erm_paths(self, rng):
         import dataclasses

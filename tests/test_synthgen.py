@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irflab.corpus import TokenizerConfig, ingest_corpus, load_qrels, load_queries
+from irflab.corpus import ingest_corpus, load_qrels, load_queries
 from irflab.feedback import query_mle
 from irflab.index import build_index
 from irflab.retrieval import RetrievalParams, rank_ql
@@ -66,10 +66,10 @@ class TestGenerate:
             noise = [s for p, s in scores.items() if p.startswith("pn")]
             assert np.mean(rel) > np.mean(noise)
 
-    def test_write_dataset_round_trips(self, tmp_path):
+    def test_write_dataset_round_trips(self, tmp_path, plain_config):
         coll, queries, qrels = generate(SMALL)
         paths = write_dataset(tmp_path, coll, queries, qrels)
-        cfg = TokenizerConfig.none()
+        cfg = plain_config
         coll2 = ingest_corpus(paths["corpus"], cfg)
         assert coll2.ids == coll.ids
         assert [p.tokens for p in coll2] == [p.tokens for p in coll]
