@@ -1,10 +1,10 @@
 """Passage collections, tokenization, document segmentation, and judgments.
 
-Tokens are interned (``sys.intern``) after stopping and stemming, so a
-collection and its queries hold one ``str`` per distinct term however often
-it occurs: token memory is bounded by the number of distinct terms, and the
-token tuples hold only references. Equal tokens are one object, so the
-index's term dicts hash each term once.
+Tokens and passage ids are interned (``sys.intern``), so a collection, its
+queries and a model loaded beside it hold one ``str`` per distinct term or
+id: token memory is bounded by the number of distinct terms, and the token
+tuples hold only references. Equal tokens are one object, so the index's
+term dicts hash each term once.
 
 File formats:
   corpus   JSON-lines, one object per line: {"id": ..., "doc_id": ..., "text": ...}
@@ -135,15 +135,15 @@ class Query:
 
 
 class PassageCollection:
-    """Immutable, id-addressable set of passages."""
+    """Immutable, id-addressable set of passages; its index shares ``ids`` and ``id_to_pos``."""
 
     def __init__(self, passages: Iterable[Passage]):
         self._passages = tuple(passages)
-        self._by_id: dict[str, Passage] = {}
-        for p in self._passages:
-            if p.passage_id in self._by_id:
-                raise ValueError(f"duplicate passage_id {p.passage_id!r}")
-            self._by_id[p.passage_id] = p
+        self.ids: tuple[str, ...] = tuple(p.passage_id for p in self._passages)
+        self.id_to_pos: dict[str, int] = {pid: pos for pos, pid in enumerate(self.ids)}
+        if len(self.id_to_pos) < len(self.ids):  # a repeated id maps to its last position only
+            dup = next(pid for pos, pid in enumerate(self.ids) if self.id_to_pos[pid] != pos)
+            raise ValueError(f"duplicate passage_id {dup!r}")
 
     def __len__(self) -> int:
         return len(self._passages)
@@ -152,18 +152,10 @@ class PassageCollection:
         return iter(self._passages)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
+        return passage_id in self.id_to_pos
 
     def __getitem__(self, passage_id: str) -> Passage:
-        return self._by_id[passage_id]
-
-    @property
-    def passages(self) -> tuple[Passage, ...]:
-        return self._passages
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(p.passage_id for p in self._passages)
+        return self._passages[self.id_to_pos[passage_id]]
 
 
 @dataclass
@@ -205,7 +197,7 @@ def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
             for key in ("id", "doc_id", "text"):
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
-            pid = str(obj["id"])
+            pid = sys.intern(str(obj["id"]))
             if pid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate passage id {pid!r}")
             if pid.split() != [pid]:

@@ -22,8 +22,10 @@ _corrupted_rep has drawn its passage representation). Training is
 single-threaded and, for a fixed seed, bit-for-bit reproducible. The
 vocabulary and its frequencies come from build_index.
 
-Model files are version-tagged little-endian snapshots; a truncated file or
-one with trailing bytes is rejected with ValueError.
+Model files are version-tagged little-endian snapshots; a truncated file,
+one with trailing bytes, or one whose passage ids are not one distinct id
+per row is rejected with ValueError (and not written). ``load_model``
+interns terms and ids; passages map to rows per index (``_row_map``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -89,9 +92,6 @@ class EmbeddingModel:
         for t, i in self.vocab.items():
             terms[i] = t
         self.terms: tuple[str, ...] = tuple(terms)
-        self._pid_to_row = (
-            {pid: i for i, pid in enumerate(self.passage_ids)} if self.passage_ids else {}
-        )
         self._memo: dict = {}
 
     def cached(self, key, build):
@@ -108,12 +108,34 @@ class EmbeddingModel:
         norms[norms == 0.0] = 1.0
         return self.word_vectors / norms
 
-    def passage_rows(self, passage_ids: Sequence[str]) -> np.ndarray:
-        """Row of each passage in passage_vectors; -1 for a passage that was
-        not in the training corpus."""
+    def vectors_at(self, index: Index, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The trained vectors of these index positions and their norms, read
+        through the row map for the index, kept in the memo. A passage without
+        one has norm 0, so only then is it looked for, and it raises ValueError."""
         if self.passage_vectors is None:
             raise ValueError("model has no trained passage vectors")
-        return np.array([self._pid_to_row.get(pid, -1) for pid in passage_ids], dtype=np.int64)
+        rows, norms = self.cached(("pv", index), lambda: self._row_map(index))
+        rows, norms = rows[positions], norms[positions]
+        if not norms.all():
+            missing = np.flatnonzero(rows < 0)
+            if len(missing):
+                raise ValueError(f"passage {index.ids[positions[missing[0]]]!r} was not in the training corpus")
+        return self.passage_vectors[rows], norms
+
+    def _row_map(self, index: Index) -> tuple[np.ndarray, np.ndarray]:
+        """Per index position, its passage's row in passage_vectors (-1 if not
+        trained) and that row's norm (0 if not), from the index's id map."""
+        positions = np.array([index.id_to_pos.get(pid, -1) for pid in self.passage_ids], dtype=np.int64)
+        trained = np.flatnonzero(positions >= 0)
+        rows = np.full(index.passage_count, -1, dtype=np.int64)
+        rows[positions[trained]] = trained
+        norms = np.zeros(index.passage_count)
+        for lo in range(0, len(trained), 4096):  # in blocks: no temporary as large as the vectors
+            block = trained[lo:lo + 4096]
+            norms[positions[block]] = np.linalg.norm(self.passage_vectors[block], axis=1)
+        rows.setflags(write=False)
+        norms.setflags(write=False)
+        return rows, norms
 
 
 def _ns_rows(G: np.ndarray, y: np.ndarray, head: int, rep, w: np.ndarray, scale: float, s: np.ndarray):
@@ -407,10 +429,7 @@ def passage_vector(passage: Passage, model: EmbeddingModel, mode: str, index: In
     if mode not in REPRESENTATION_MODES:
         raise ValueError(f"unknown representation mode {mode!r}")
     if mode in ("pv", "pvc"):
-        (row,) = model.passage_rows([passage.passage_id]).tolist()
-        if row < 0:
-            raise ValueError(f"passage {passage.passage_id!r} was not in the training corpus")
-        return model.passage_vectors[row]
+        return model.vectors_at(index, np.array([index.position(passage.passage_id)]))[0][0]
     rows = [model.vocab[t] for t in passage.tokens if t in model.vocab]
     if not rows:
         raise UnrepresentablePassage(f"passage {passage.passage_id!r} has no in-vocabulary tokens")
@@ -457,9 +476,19 @@ def _read_block(fh) -> bytearray:
     return _read_exact(fh, n)
 
 
+def _names(path, block: str, count: int, what: str) -> tuple[str, ...]:
+    """The interned lines of a name block; ValueError unless count distinct, one per row."""
+    names = tuple(map(sys.intern, block.split("\n")))
+    if len(set(names)) != count or len(names) != count:
+        raise ValueError(f"{path}: {what} mismatch: {len(names)} names ({len(set(names))} distinct) for {count} rows")
+    return names
+
+
 def save_model(model: EmbeddingModel, path) -> None:
     """Versioned binary snapshot: header, vocabulary, row-major float64 vectors."""
     n_passages = 0 if model.passage_vectors is None else len(model.passage_vectors)
+    if n_passages and _names(path, "\n".join(model.passage_ids), n_passages, "passage id") != tuple(model.passage_ids):
+        raise ValueError(f"{path}: a passage id holds a line break")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<IIQQ", MODEL_VERSION, model.dim, len(model.vocab), n_passages))
@@ -483,15 +512,13 @@ def load_model(path) -> EmbeddingModel:
             raise ValueError(f"{path}: unsupported model version {version}")
         _read_block(fh)  # mode string; also present in metadata
         metadata = json.loads(_read_block(fh).decode("utf-8"))
-        terms = _read_block(fh).decode("utf-8").split("\n")
-        if len(terms) != n_vocab:
-            raise ValueError(f"{path}: vocabulary size mismatch")
+        terms = _names(path, _read_block(fh).decode("utf-8"), n_vocab, "vocabulary size")
         word = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim)
         ctx = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_vocab, dim)
         passage_ids = None
         passage_vectors = None
         if n_passages:
-            passage_ids = tuple(_read_block(fh).decode("utf-8").split("\n"))
+            passage_ids = _names(path, _read_block(fh).decode("utf-8"), n_passages, "passage id")
             passage_vectors = np.frombuffer(_read_block(fh), dtype="<f8").reshape(n_passages, dim)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the model data")

@@ -13,11 +13,10 @@ and scores as arrays (the base list must be a ranking of the same index) and
 returns positions and fused scores, ordered by one lexsort; passage ids are
 not looked up. One gather, ``_gather``, reads the vectors and norms of
 the pool and of the candidates. For pv/pvc it reads them by fancy indexing
-into the trained passage vectors and their norms, through a map from index
-position to model row. The map and the norms are built once per (model,
-index) and kept in the model's memo (``EmbeddingModel.cached``): 16 bytes
-per indexed passage. avg_w2v/idf_w2v vectors and norms are computed per
-call.
+into the trained passage vectors and their norms, through the model's row
+map from index position to model row (``EmbeddingModel.vectors_at``): built
+once per (model, index) from the index's id map, 16 bytes per indexed
+passage. avg_w2v/idf_w2v vectors and norms are computed per call.
 
 The pool side of a call, the centroid of the relevant pool's vectors
 (summed row by row in pool order) and its norm, depends only on the pool
@@ -67,38 +66,14 @@ def _vector_or_zero(passage: Passage, model: EmbeddingModel, mode: str, index: I
         return np.zeros(model.dim)
 
 
-def _pv_rows(model: EmbeddingModel, index: Index) -> tuple[np.ndarray, np.ndarray]:
-    """Per index position, the row of its passage in the model's passage
-    vectors (-1 if it was not trained) and that vector's norm (0 if not)."""
-    rows = model.passage_rows(index.ids)
-    vectors = model.passage_vectors
-    vector_norms = np.empty(len(vectors))
-    for lo in range(0, len(vectors), 4096):  # in blocks: no temporary as large as the vectors
-        vector_norms[lo:lo + 4096] = np.linalg.norm(vectors[lo:lo + 4096], axis=1)
-    trained = rows >= 0
-    norms = np.zeros(len(rows))
-    norms[trained] = vector_norms[rows[trained]]
-    rows.setflags(write=False)
-    norms.setflags(write=False)
-    return rows, norms
-
-
 def _gather(positions: np.ndarray, model: EmbeddingModel, mode: str, collection: PassageCollection,
             index: Index) -> tuple[np.ndarray, np.ndarray]:
     """The vectors of these index positions, one row each, and their norms.
-    pv/pvc rows are read from the trained passage vectors; a passage without
-    one has norm 0, so only then is it looked for, and it raises ValueError.
+    pv/pvc rows are the trained passage vectors (``vectors_at``);
     avg_w2v/idf_w2v vectors are computed per passage (an unrepresentable
     one is a zero vector)."""
     if mode in ("pv", "pvc"):
-        rows, row_norms = model.cached(("pv", index), lambda: _pv_rows(model, index))
-        rows = rows[positions]
-        norms = row_norms[positions]
-        if not norms.all():
-            missing = np.flatnonzero(rows < 0)
-            if len(missing):
-                raise ValueError(f"passage {index.ids[positions[missing[0]]]!r} was not in the training corpus")
-        return model.passage_vectors[rows], norms
+        return model.vectors_at(index, positions)
     ids = index.ids
     vectors = (np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in positions.tolist()])
                if len(positions) else np.zeros((0, model.dim)))

@@ -318,8 +318,6 @@ def rank_bm25(
 
 def rocchio_scores(query_vec: TermVector, index: Index) -> np.ndarray:
     """Inner product of the query vector with each passage's tf-idf vector."""
-    if not query_vec:
-        raise ValueError("empty query vector")
     scores = np.zeros(index.passage_count, dtype=np.float64)
     for term, qw in query_vec.items():
         if qw == 0.0:

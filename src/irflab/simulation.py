@@ -183,8 +183,6 @@ class _SessionModel:
         self.ctx = ctx
         self.memo = memo
         self.evidence = memo.setdefault("evidence", {})
-        if method == "rocchio" and not self.weights(FeedbackState()):
-            raise ValueError(f"query {query.query_id!r} has no indexable tokens")
 
     def weights(self, state: FeedbackState) -> Mapping[str, float]:
         """The query model after the state's judgments (see the class docstring)."""

@@ -106,10 +106,10 @@ def test_c3_em_monotonic_and_oracle(rng):
         ]
         coll = make_collection(lists)
         idx = build_index(coll)
-        pool = [coll.passages[int(i)] for i in rng.choice(6, size=int(rng.integers(1, 6)), replace=False)]
+        pool = [tuple(coll)[int(i)] for i in rng.choice(6, size=int(rng.integers(1, 6)), replace=False)]
         lam_mix = float(rng.uniform(0.0, 0.7))
         lam_nr = float(rng.uniform(0.0, 0.9 - lam_mix))
-        nr = [coll.passages[-1]] if lam_nr > 0 else []
+        nr = [tuple(coll)[-1]] if lam_nr > 0 else []
         params = FeedbackParams(alpha_interp=0.3, lambda_mix=lam_mix, lambda_nr=lam_nr,
                                 em_max_iters=30, em_tol=0.0, m=50)
         estimate_distillation(make_query([vocab[0]]), pool, nr, idx, params)
@@ -138,7 +138,7 @@ def test_c4_reduction_identities(rng):
         idx = build_index(coll)
         qtokens = [f"t{int(i)}" for i in rng.integers(0, 6, size=int(rng.integers(1, 4)))]
         query = make_query(qtokens)
-        pool = [coll.passages[int(i)] for i in rng.choice(8, size=3, replace=False)]
+        pool = [tuple(coll)[int(i)] for i in rng.choice(8, size=3, replace=False)]
         params = FeedbackParams(m=int(rng.integers(1, 8)), alpha_interp=1.0)
         model = estimate_rm3(query, pool, idx, params, mu=float(rng.uniform(1, 100)))
         mle = query_mle(query)
@@ -153,7 +153,7 @@ def test_c4_reduction_identities(rng):
         worst_erm = max(worst_erm, max(abs(erm.get(t, 0.0) - w) for t, w in rm3.items()),
                         max(abs(rm3.get(t, 0.0) - w) for t, w in erm.items()))
 
-        base_ids = [p.passage_id for p in coll.passages]
+        base_ids = list(coll.ids)
         rng.shuffle(base_ids)
         base = ranked_over(idx, tuple((pid, float(s)) for pid, s in
                            zip(base_ids, sorted(rng.normal(size=8), reverse=True))), query_id="q")

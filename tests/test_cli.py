@@ -125,6 +125,25 @@ class TestRunIrf:
         assert [r.getMessage() for r in caplog.records if "q2" in r.getMessage()] == [
             "query q2: no token occurs in the collection; dropped"]
 
+    def test_query_whose_terms_are_in_every_passage_is_ranked_by_rocchio(self, tmp_path):
+        # q2's one term is in every passage, so its tf-idf vector is empty; rocchio
+        # used to refuse q2 after every rm3 column had run, and the run exited 1
+        texts = ["apple banana", "apple cherry", "apple grape pie", "apple tart", "apple cake cherry"]
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"p{i}", "doc_id": f"d{i}", "text": text}) + "\n" for i, text in enumerate(texts)))
+        (tmp_path / "queries.tsv").write_text("q1\tbanana cherry\nq2\tapple\nq3\tcherry grape\n")
+        (tmp_path / "qrels.txt").write_text("q1 0 p0 1\nq1 0 p1 1\nq2 0 p3 1\nq3 0 p2 1\nq3 0 p4 1\n")
+        out_dir = tmp_path / "out"
+        cfg = experiment_config(tmp_path, out_dir, session={"settings": [[1, 2]]},
+                                feedback={"methods": ["rm3", "rocchio"], "m": 5},
+                                evaluation={"metrics": ["map100"], "folds": 2})
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 0
+        run = read_run(out_dir / "run_irf_rocchio_1x2.txt")
+        assert list(run) == ["q1", "q2", "q3"]
+        # the first block is BM25's, all zero for q2, so the id tie-break's
+        assert [pid for pid, _ in run["q2"]][0] == "p0"
+        assert sorted(pid for pid, _ in run["q2"]) == [f"p{i}" for i in range(5)]
+
     def test_emits_runs_and_summaries(self, synth_dir, tmp_path):
         out_dir = tmp_path / "out"
         cfg = experiment_config(synth_dir, out_dir,

@@ -1,12 +1,17 @@
 """Embedding training: gradient checks, convergence, corruption, storage."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irflab.corpus import Passage, TokenizerConfig, ingest_corpus, write_corpus
 from irflab.embeddings import (
     MODEL_MAGIC,
+    MODEL_VERSION,
     EmbeddingModel,
     TrainConfig,
     UnrepresentablePassage,
@@ -16,6 +21,7 @@ from irflab.embeddings import (
     _negative_rows,
     _ns_loss,
     _ns_rows,
+    _write_block,
     cosine,
     load_model,
     passage_vector,
@@ -337,6 +343,19 @@ class TestPassageVector:
         idx = build_index(coll)
         with pytest.raises(ValueError, match="training corpus"):
             passage_vector(coll["p001"], self._model(), "pv", idx)
+        with pytest.raises(ValueError, match="'zz' is not in the index"):
+            passage_vector(Passage("zz", "d", "a", ("a",)), self._model(), "pv", idx)
+
+    def test_pv_rows_follow_the_models_passage_order(self):
+        coll = make_collection([["a"], ["b"], ["c"], ["a", "b"]])
+        idx = build_index(coll)
+        order = [2, 0, 3, 1]
+        vectors = np.arange(8.0).reshape(4, 2)
+        model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.zeros((1, 2)), context_vectors=np.zeros((1, 2)),
+                               dim=2, passage_vectors=vectors, passage_ids=tuple(coll.ids[i] for i in order))
+        for mode in ("pv", "pvc"):
+            for row, i in enumerate(order):
+                assert passage_vector(coll[coll.ids[i]], model, mode, idx).tolist() == vectors[row].tolist()
 
 
 class TestCosine:
@@ -417,6 +436,59 @@ class TestModelIO:
         cut.write_bytes(data[:10] + (5).to_bytes(4, "little") + data[14:])
         with pytest.raises(ValueError):
             load_model(cut)
+
+    @staticmethod
+    def _write_model_file(path, passage_ids, n_rows, dim=2):
+        """A model file as save_model lays it out, written block by block, so
+        its id block and its passage-vector rows can disagree."""
+        with open(path, "wb") as fh:
+            fh.write(MODEL_MAGIC)
+            fh.write(struct.pack("<IIQQ", MODEL_VERSION, dim, 1, n_rows))
+            _write_block(fh, b"pv_hdc")
+            _write_block(fh, b'{"mode": "pv_hdc"}')
+            _write_block(fh, b"a")
+            _write_block(fh, bytes(8 * dim))
+            _write_block(fh, bytes(8 * dim))
+            _write_block(fh, "\n".join(passage_ids).encode("utf-8"))
+            _write_block(fh, np.arange(n_rows * dim, dtype="<f8").tobytes())
+
+    def test_mixed_up_passage_ids_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self._write_model_file(path, ["p1", "p2", "p3"], 3)
+        assert load_model(path).passage_ids == ("p1", "p2", "p3")
+        for passage_ids, problem in ((["p1", "p2p3"], "passage id mismatch: 2 names (2 distinct) for 3 rows"),
+                                     (["p1", "p2", "p1"], "passage id mismatch: 3 names (2 distinct) for 3 rows")):
+            self._write_model_file(path, passage_ids, 3)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+                load_model(path)
+
+    def test_save_refuses_mixed_up_passage_ids(self, tmp_path):
+        path = tmp_path / "model.bin"
+        for passage_ids in (("p1", "p2"), ("p1", "p2", "p1"), ("p1", "p2\np3")):
+            model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.zeros((1, 2)), context_vectors=np.zeros((1, 2)),
+                                   dim=2, passage_vectors=np.ones((3, 2)), passage_ids=passage_ids)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                save_model(model, path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("model_first", [False, True])
+    def test_loaded_model_shares_the_collections_strings(self, tmp_path, model_first):
+        texts = ["apple banana", "banana cherry", "apple cherry"]
+        write_corpus(tmp_path / "corpus.jsonl", make_collection([t.split() for t in texts]))
+        model = EmbeddingModel(vocab={"apple": 0, "banana": 1, "cherry": 2}, word_vectors=np.zeros((3, 2)),
+                               context_vectors=np.zeros((3, 2)), dim=2, passage_vectors=np.ones((3, 2)),
+                               passage_ids=("p000", "p001", "p002"))
+        save_model(model, tmp_path / "model.bin")
+        tokenizer = TokenizerConfig(stopwords=frozenset(), stemming="none")
+        if model_first:
+            loaded = load_model(tmp_path / "model.bin")
+            coll = ingest_corpus(tmp_path / "corpus.jsonl", tokenizer)
+        else:
+            coll = ingest_corpus(tmp_path / "corpus.jsonl", tokenizer)
+            loaded = load_model(tmp_path / "model.bin")
+        assert all(a is b for a, b in zip(loaded.passage_ids, coll.ids, strict=True))
+        tokens = {t: t for p in coll for t in p.tokens}
+        assert all(tokens[t] is t for t in (*loaded.vocab, *loaded.terms))
 
     def test_default_config_matches_training_protocol(self):
         cfg = TrainConfig()

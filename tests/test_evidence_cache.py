@@ -29,7 +29,7 @@ from irflab.feedback import (
     rocchio_update,
     update_pools,
 )
-from irflab.fusion import FusionConfig, _pv_rows, _vector_or_zero, fused_rank
+from irflab.fusion import FusionConfig, _vector_or_zero, fused_rank
 from irflab.index import build_index, collection_prob, query_tfidf, tfidf_vector
 from irflab.retrieval import RankedList, RetrievalParams, rank_ql
 
@@ -150,7 +150,7 @@ def oracle_fused_rank(base, state, model, cfg, collection, index):
     positions = np.concatenate(([index.id_to_pos[pid] for pid in state.relevant_pool], cand))
     mode = cfg.representation_mode
     if mode in ("pv", "pvc"):
-        rows, row_norms = _pv_rows(model, index)
+        rows, row_norms = model._row_map(index)
         rows = rows[positions]
         vectors = model.passage_vectors[rows]
         norms = row_norms[cand]

@@ -179,7 +179,7 @@ class TestRM3:
         # P(a|R) = 7/18 * 1/2 + 11/18 = 29/36, P(b|R) = 7/36
         coll = make_collection([["a", "b"], ["a", "a"]])
         idx = build_index(coll)
-        model = estimate_rm3(make_query(["a"]), list(coll.passages), idx,
+        model = estimate_rm3(make_query(["a"]), list(coll), idx,
                              FeedbackParams(m=5, alpha_interp=0.0), mu=1.0)
         assert model["a"] == pytest.approx(29 / 36, abs=1e-12)
         assert model["b"] == pytest.approx(7 / 36, abs=1e-12)
@@ -188,7 +188,7 @@ class TestRM3:
         coll = make_collection([["a", "a", "a", "x"], ["y", "y", "y", "z"]])
         idx = build_index(coll)
         q = make_query(["a"])
-        model = estimate_rm3(q, list(coll.passages), idx, FeedbackParams(m=10, alpha_interp=0.0), mu=1.0)
+        model = estimate_rm3(q, list(coll), idx, FeedbackParams(m=10, alpha_interp=0.0), mu=1.0)
         assert model["a"] > model["y"]
 
     def test_empty_pool_rejected(self, tiny_index):
@@ -202,7 +202,7 @@ class TestRM3:
             coll = make_collection(lists)
             idx = build_index(coll)
             q = make_query([f"t{int(rng.integers(0, 6))}"])
-            pool = [coll.passages[int(i)] for i in rng.choice(8, size=3, replace=False)]
+            pool = [tuple(coll)[int(i)] for i in rng.choice(8, size=3, replace=False)]
             model = estimate_rm3(q, pool, idx, FeedbackParams(m=int(rng.integers(1, 8))))
             check_query_model(model)
 
@@ -275,7 +275,7 @@ class TestDistillation:
                      for _ in range(4)]
             coll = make_collection(lists)
             idx = build_index(coll)
-            pool = list(coll.passages[:int(rng.integers(1, 4))])
+            pool = list(tuple(coll)[:int(rng.integers(1, 4))])
             lam = float(rng.uniform(0.0, 0.8))
             iters = int(rng.integers(1, 6))
             params = FeedbackParams(alpha_interp=0.0, lambda_mix=lam, lambda_nr=0.0,
@@ -365,8 +365,8 @@ class TestRocchio:
             lists = random_token_lists(rng, 10, 6)
             coll = make_collection(lists)
             idx = build_index(coll)
-            pool = [coll.passages[int(i)] for i in rng.choice(10, size=3, replace=False)]
-            nr = [coll.passages[int(i)] for i in rng.choice(10, size=3, replace=False)]
+            pool = [tuple(coll)[int(i)] for i in rng.choice(10, size=3, replace=False)]
+            nr = [tuple(coll)[int(i)] for i in rng.choice(10, size=3, replace=False)]
             params = FeedbackParams(
                 rocchio_alpha=float(rng.uniform(0, 2)),
                 rocchio_beta=float(rng.uniform(0, 2)),
@@ -382,7 +382,7 @@ class TestERM:
         coll = make_collection([["a", "a", "b"], ["b", "c", "c"]])
         idx = build_index(coll)
         q = make_query(["a", "c"])
-        pool = list(coll.passages)
+        pool = list(coll)
         model = toy_embeddings(np.eye(3), terms=["a", "b", "c"])
         params = FeedbackParams(m=5, alpha_interp=0.4)
         erm = estimate_erm(q, pool, idx, model, params, ErmParams(lambda_erm=1.0), mu=10.0)
@@ -400,7 +400,7 @@ class TestERM:
         vectors = np.tile(np.array([[1.0, 2.0]]), (3, 1))
         model = toy_embeddings(vectors, terms=["a", "b", "c"])
         q = make_query(["a"])
-        pool = list(coll.passages)
+        pool = list(coll)
         out = estimate_erm(q, pool, idx, model, FeedbackParams(m=5, alpha_interp=0.0),
                            ErmParams(lambda_erm=0.0), mu=10.0)
         # both passages share the same translation likelihood -> uniform doc
@@ -442,7 +442,7 @@ class TestERM:
         coll = make_collection([["x"], ["y"]])
         idx = build_index(coll)
         model = toy_embeddings(np.eye(2), terms=["x", "y"])
-        out = estimate_erm(make_query(["x"]), list(coll.passages), idx, model,
+        out = estimate_erm(make_query(["x"]), list(coll), idx, model,
                            FeedbackParams(m=5, alpha_interp=0.0),
                            ErmParams(lambda_erm=0.0, sigmoid_a=10.0, sigmoid_c=0.5, neighbors=2),
                            mu=1.0)
@@ -456,7 +456,7 @@ class TestERM:
         model = toy_embeddings(np.eye(2), terms=["a", "b"])
         q = make_query(["a", "mystery"])
         with caplog.at_level("WARNING"):
-            out = estimate_erm(q, list(coll.passages), idx, model,
+            out = estimate_erm(q, list(coll), idx, model,
                                FeedbackParams(m=5), ErmParams(lambda_erm=0.5), mu=10.0)
         assert any("not in embedding vocabulary" in r.message for r in caplog.records)
         check_query_model(out)

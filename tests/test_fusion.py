@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from irflab.corpus import PassageCollection
 from irflab.embeddings import EmbeddingModel, UnrepresentablePassage, cosine, passage_vector
 from irflab.feedback import FeedbackState, query_mle, update_pools
-from irflab.fusion import FusionConfig, _pv_rows, _vector_or_zero, fused_rank
+from irflab.fusion import FusionConfig, _vector_or_zero, fused_rank
 from irflab.index import build_index
 from irflab.retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql
 
@@ -52,7 +52,8 @@ def reference_fused_rank(base, state, model, cfg, collection, index):
     positions = [index.id_to_pos[pid] for pid in state.relevant_pool + pids]
     mode = cfg.representation_mode
     if mode in ("pv", "pvc"):
-        vectors = model.passage_vectors[model.passage_rows(index.ids)[positions]]
+        row_of = {pid: row for row, pid in enumerate(model.passage_ids)}
+        vectors = model.passage_vectors[[row_of[index.ids[i]] for i in positions]]
     else:
         vectors = np.stack([_vector_or_zero(collection[index.ids[i]], model, mode, index) for i in positions])
     centroid = np.zeros(model.dim)
@@ -324,7 +325,7 @@ class TestPositionLists:
     def test_list_not_ranked_over_this_index_raises(self):
         coll = make_collection([["a"], ["b"], ["c"]])
         idx = build_index(coll)
-        other = build_index(coll)  # equal content, another index
+        other = build_index(make_collection([["a"], ["b"], ["c"]]))  # equal content, another collection
         model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.ones((1, 2)), context_vectors=np.ones((1, 2)),
                                dim=2, passage_vectors=np.eye(3)[:, :2] + 0.5, passage_ids=coll.ids)
         entries = (("p001", 2.0), ("p002", 1.0))
@@ -333,7 +334,9 @@ class TestPositionLists:
             for state in (FeedbackState(), update_pools(FeedbackState(), [("p000", True)])):
                 with pytest.raises(ValueError, match="ranked over this index"):
                     fused_rank(base, state, model, cfg, coll, idx)
-        assert fused_rank(ranked_over(idx, entries), FeedbackState(), model, cfg, coll, idx).entries == entries
+        # an index rebuilt over the same collection shares its ids tuple, and so its positions
+        for same in (idx, build_index(coll)):
+            assert fused_rank(ranked_over(same, entries), FeedbackState(), model, cfg, coll, idx).entries == entries
 
     def test_cached_norms_equal_per_call_norms(self):
         rng = np.random.default_rng(7)
@@ -344,10 +347,11 @@ class TestPositionLists:
         trained = [ids[i] for i in rng.permutation(n)[: n - 10]]  # ten passages without a vector
         model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.ones((1, 24)), context_vectors=np.ones((1, 24)),
                                dim=24, passage_vectors=rng.normal(size=(n - 10, 24)), passage_ids=tuple(trained))
-        rows, norms = _pv_rows(model, idx)
+        rows, norms = model._row_map(idx)
         assert not rows.flags.writeable and not norms.flags.writeable
         assert (norms[rows < 0] == 0.0).all() and (rows < 0).sum() == 10
         for _ in range(300):
             draw = rng.choice(np.flatnonzero(rows >= 0), size=int(rng.integers(1, 131)), replace=False)
-            per_call = np.linalg.norm(model.passage_vectors[rows[draw]], axis=1)
-            assert per_call.tobytes() == norms[draw].tobytes()
+            vectors, cached = model.vectors_at(idx, draw)
+            assert vectors.tobytes() == model.passage_vectors[rows[draw]].tobytes()
+            assert np.linalg.norm(vectors, axis=1).tobytes() == cached.tobytes() == norms[draw].tobytes()

@@ -1,16 +1,23 @@
 """Forward rows, postings, collection statistics and tf-idf vectors."""
 
+import dataclasses
 import math
 from collections import Counter
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irflab.corpus import PassageCollection
-from irflab.index import build_index, collection_prob, tfidf_vector
+from irflab.embeddings import EmbeddingModel
+from irflab.feedback import query_mle
+from irflab.index import build_index, collection_prob, query_tfidf, tfidf_vector
+from irflab.retrieval import RetrievalParams, bm25_scores, ql_scores, rocchio_scores
+from irflab.synthgen import GeneratorConfig, generate
 
-from conftest import make_collection, random_token_lists
+from conftest import make_collection, make_query, random_token_lists
 
 # Few distinct short tokens, so terms repeat within and across passages;
 # empty token lists stand for passages with nothing left after tokenizing.
@@ -72,6 +79,86 @@ class TestBuildIndex:
         _, idx = tiny_index
         first = collection_prob(idx, "a")
         assert all(collection_prob(idx, "a") == first for _ in range(5))
+
+
+def int64_reference(coll, idx):
+    """The index with its forward rows and postings rebuilt in int64 from
+    each passage's token Counter, one passage at a time."""
+    row_ptr, row_terms, row_tfs = [0], [], []
+    postings = {t: ([], []) for t in idx.terms}
+    for pos, passage in enumerate(coll):
+        counts = Counter(passage.tokens)
+        for term in sorted(counts):  # term ids follow term order
+            row_terms.append(idx.term_ids[term])
+            row_tfs.append(counts[term])
+            postings[term][0].append(pos)
+            postings[term][1].append(counts[term])
+        row_ptr.append(len(row_terms))
+
+    def int64(values):
+        return np.array(values, dtype=np.int64)
+    return dataclasses.replace(
+        idx, row_ptr=int64(row_ptr), row_terms=int64(row_terms), row_tfs=int64(row_tfs),
+        postings={t: (int64(p), int64(f)) for t, (p, f) in postings.items()})
+
+
+class TestThirtyTwoBitCounts:
+    """Term ids and tfs are int32; every score is bit for bit the one an
+    int64 index gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(token_lists, st.lists(st.text(alphabet="abcx", min_size=1, max_size=2), min_size=1, max_size=4),
+           st.sampled_from([0.5, 10.0, 2000.0]))
+    def test_scores_equal_an_int64_reference(self, lists, query_tokens, mu):
+        coll = make_collection(lists)
+        idx = build_index(coll)
+        ref = int64_reference(coll, idx)
+        for name in ("row_ptr", "row_terms", "row_tfs"):
+            assert getattr(idx, name).tolist() == getattr(ref, name).tolist()
+        assert {t: (p.tolist(), f.tolist()) for t, (p, f) in idx.postings.items()} == \
+            {t: (p.tolist(), f.tolist()) for t, (p, f) in ref.postings.items()}
+        for passage in coll:
+            assert list(idx.term_counts(passage).items()) == list(ref.term_counts(passage).items())
+            assert [(t, w.hex()) for t, w in idx.tfidf_row(passage).items()] == \
+                [(t, w.hex()) for t, w in ref.tfidf_row(passage).items()]
+        query = make_query(query_tokens)
+        params = RetrievalParams(mu=mu)
+        for score in (lambda index: ql_scores(query_mle(query), index, params),
+                      lambda index: bm25_scores(query, index, params),
+                      lambda index: rocchio_scores(query_tfidf(query, index), index)):
+            assert score(idx).tobytes() == score(ref).tobytes()
+
+    def test_dtypes(self):
+        idx = build_index(make_collection([["a", "b", "a"], [], ["b"]]))
+        assert idx.row_terms.dtype == idx.row_tfs.dtype == np.int32
+        # positions stay int64: they index the score arrays, and int32 fancy
+        # indices doubled ql_scores's scatter-add
+        for positions, tfs in idx.postings.values():
+            assert (positions.dtype, tfs.dtype) == (np.int64, np.int32)
+        assert idx.row_ptr.dtype == idx.tie_rank.dtype == idx.doc_len.dtype == np.int64
+
+    def test_index_holds_the_collections_ids_and_id_map(self):
+        coll = make_collection([["a"], ["b"]])
+        idx = build_index(coll)
+        assert idx.ids is coll.ids and idx.id_to_pos is coll.id_to_pos
+
+
+class TestResidentBytes:
+    """What a loaded collection keeps resident for the whole run: the
+    index's per-posting arrays and the maps from passage id."""
+
+    def test_bytes_per_posting_and_one_id_map(self):
+        coll, _, _ = generate(GeneratorConfig(num_queries=10, num_noise_passages=300, vocab_size=200, seed=1))
+        idx = build_index(coll)
+        # a forward-row entry and a posting: term id 4 + tf 4, position 8 + tf 4 bytes
+        per_posting = [idx.row_terms, idx.row_tfs, *chain.from_iterable(idx.postings.values())]
+        assert sum(a.nbytes for a in per_posting) / len(idx.row_terms) <= 20
+        model = EmbeddingModel(vocab={"w0000": 0}, word_vectors=np.zeros((1, 2)), context_vectors=np.zeros((1, 2)),
+                               dim=2, passage_vectors=np.ones((len(coll), 2)), passage_ids=coll.ids)
+        model.vectors_at(idx, np.arange(len(coll)))
+        id_maps = {id(value) for holder in (coll, idx, model) for value in vars(holder).values()
+                   if isinstance(value, dict) and value.keys() == set(coll.ids)}
+        assert len(id_maps) == 1
 
 
 class TestCollectionProb:
