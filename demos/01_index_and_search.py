@@ -41,14 +41,14 @@ print("p(electricity | corpus) =", round(collection_prob(index, "electricity"), 
 query = Query(query_id="q1", text="solar electricity", tokens=tuple(tokenize("solar electricity", config)))
 
 print("\nQuery Likelihood (Dirichlet mu=100):")
-for pid, score in rank_ql(query_mle(query), index, RetrievalParams(mu=100.0), depth=4):
+for pid, score in rank_ql(query_mle(query), index, RetrievalParams(mu=100.0), depth=4).entries:
     print(f"  {pid}  {score:8.4f}   {texts[pid]}")
 
 print("\nBM25 (k1=1.2, b=0.75):")
-for pid, score in rank_bm25(query, index, RetrievalParams(), depth=4):
+for pid, score in rank_bm25(query, index, RetrievalParams(), depth=4).entries:
     print(f"  {pid}  {score:8.4f}")
 
 qvec = tfidf_vector(collection["p1"], index)  # use p1 itself as a vector query
 print("\ntf-idf dot product against p1's vector:")
-for pid, score in rank_rocchio(qvec, index, depth=4):
+for pid, score in rank_rocchio(qvec, index, depth=4).entries:
     print(f"  {pid}  {score:8.4f}")

@@ -197,6 +197,10 @@ def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
             for key in ("id", "doc_id", "text"):
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
+            for key in ("id", "doc_id"):
+                if type(obj[key]) not in (str, int):  # exact types, so a bool does not pass as an int
+                    raise ValueError(f"{path}: line {lineno}: field {key!r} must be a string or an integer, "
+                                     f"got {type(obj[key]).__name__}")
             pid = sys.intern(str(obj["id"]))
             if pid in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate passage id {pid!r}")

@@ -73,15 +73,14 @@ def evaluate_ranking(ranking: Sequence[str], relevant: AbstractSet[str], metric:
 
 @dataclass(frozen=True)
 class MetricResult:
-    metric_name: str
     per_query: dict[str, float]
     mean: float
 
     @classmethod
-    def aggregate(cls, metric_name: str, per_query: Mapping[str, float]) -> "MetricResult":
+    def aggregate(cls, per_query: Mapping[str, float]) -> "MetricResult":
         per_query = dict(per_query)
         mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-        return cls(metric_name=metric_name, per_query=per_query, mean=mean)
+        return cls(per_query=per_query, mean=mean)
 
 
 def fisher_randomization(
@@ -163,15 +162,15 @@ def grid_points(grid: Mapping[str, Sequence]) -> list[dict]:
 
 
 def assign_folds(query_ids: Sequence[str], folds: int, seed: int) -> list[list[str]]:
+    """The sorted query ids in a seeded shuffle, cut into folds of sizes
+    differing by at most one; the ids are the ones given, not copies."""
     if folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     if len(query_ids) < folds:
         raise ValueError(f"need at least {folds} queries for {folds}-fold cross-validation")
     rng = np.random.default_rng(seed)
     ids = sorted(query_ids)
-    order = rng.permutation(len(ids))
-    shuffled = [ids[i] for i in order]
-    return [list(part) for part in np.array_split(shuffled, folds)]
+    return [[ids[i] for i in part] for part in np.array_split(rng.permutation(len(ids)), folds)]
 
 
 def cross_validate_grid(
@@ -180,30 +179,23 @@ def cross_validate_grid(
     evaluate: Callable[[dict], Mapping[str, float]],
     folds: int = 5,
     seed: int = 0,
-) -> tuple[list[dict], dict[str, float]]:
+) -> list[tuple[dict, list[str]]]:
     """Seeded k-fold grid search.
 
     ``evaluate(params)`` must return per-query scores for every query. Each
-    fold picks the grid point with the best mean score on the other folds
-    (first point wins ties) and is scored on its held-out queries.
-    Returns (chosen params per fold, concatenated held-out scores).
+    fold picks the grid point with the best mean score on the other folds,
+    summed in the order ``evaluate`` gives the queries (first point wins
+    ties). Returns each fold's (chosen params, query ids), in fold order.
     """
     points = grid_points(grid)
-    fold_sets = assign_folds(query_ids, folds, seed)
-    cache = [dict(evaluate(point)) for point in points]
-    chosen: list[dict] = []
-    test_scores: dict[str, float] = {}
+    fold_sets = assign_folds(query_ids, folds, seed)  # refuses bad fold counts before any evaluation
+    cache = [evaluate(point) for point in points]
+    chosen: list[tuple[dict, list[str]]] = []
     for fold in fold_sets:
         held_out = set(fold)
-        best_i = 0
-        best_score = -np.inf
-        for i, scores in enumerate(cache):
+        means = []
+        for scores in cache:
             train = [s for q, s in scores.items() if q not in held_out]
-            mean = sum(train) / len(train) if train else -np.inf
-            if mean > best_score:
-                best_score = mean
-                best_i = i
-        chosen.append(points[best_i])
-        for q in fold:
-            test_scores[q] = cache[best_i][q]
-    return chosen, test_scores
+            means.append(sum(train) / len(train) if train else -np.inf)
+        chosen.append((points[means.index(max(means))], fold))
+    return chosen

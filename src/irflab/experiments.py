@@ -44,7 +44,6 @@ from .embeddings import EmbeddingModel, load_model
 from .evaluation import (
     DEFAULT_PERMUTATIONS,
     MetricResult,
-    assign_folds,
     cross_validate_grid,
     evaluate_ranking,
     fisher_randomization,
@@ -127,11 +126,14 @@ def score_rankings(rankings: Iterable[tuple[str, Sequence[str], AbstractSet[str]
     for topic, ranking, relevant in rankings:
         for metric, per_query in per_metric.items():
             per_query[topic] = evaluate_ranking(ranking, relevant, metric)
-    return {metric: MetricResult.aggregate(metric, per_query) for metric, per_query in per_metric.items()}
+    return {metric: MetricResult.aggregate(per_query) for metric, per_query in per_metric.items()}
 
 
-def _frozen_rankings(results: Mapping[str, SessionResult], qrels: Judgments):
-    return ((qid, freeze_ranking(res.frozen), qrels.relevant_ids(qid)) for qid, res in results.items())
+def _score_sessions(results: Mapping[str, tuple[SessionResult, tuple[str, ...]]],
+                    relevant: Mapping[str, AbstractSet[str]], metrics: Sequence[str]) -> dict[str, MetricResult]:
+    """``score_rankings`` over the frozen rankings of {query id: (session,
+    frozen ranking)}, in its order."""
+    return score_rankings(((qid, ranking, relevant[qid]) for qid, (_, ranking) in results.items()), metrics)
 
 
 def _write_per_query_csv(path, per_metric: Mapping[str, MetricResult]) -> None:
@@ -185,12 +187,13 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     seed = cfg.get("seed", 0)
     depth = cfg.get("session", {}).get("depth")
     query_ids = [q.query_id for q in engine.queries]
+    relevant = {qid: engine.qrels.relevant_ids(qid) for qid in query_ids}
 
     columns = ["initial"] + [f"{n}x{i}" for n, i in settings]
     summary: dict[str, dict[str, float]] = {}
     for method in methods:
-        initial = score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(),
-                                   engine.qrels.relevant_ids(q.query_id)) for q in engine.queries), [objective])
+        initial = score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(), relevant[q.query_id])
+                                  for q in engine.queries), [objective])
         row: dict[str, float] = {"initial": initial[objective].mean}
         grids = tuning_grids(cfg, method)
         points = grid_points(grids) if grids else [{}]
@@ -203,31 +206,27 @@ def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
             sessions = [(ctx, SessionConfig(per_iter=per_iter, iterations=iterations,
                                             rf_method=method, fusion=fusion, depth=depth))
                         for ctx, fusion in variants]
-            sweep: list[dict[str, SessionResult]] = [{} for _ in points]
+            # per grid point, in query order: {query id: (session, frozen ranking)}
+            sweep: list[dict[str, tuple[SessionResult, tuple[str, ...]]]] = [{} for _ in points]
             for query in engine.queries:
                 # one memo per (setting, query) holds the repeats across grid
                 # points; a wider one costs memory for few more hits
                 memo: dict = {}
-                for (ctx, scfg), results in zip(sessions, sweep):
-                    results[query.query_id] = run_irf_session(query, engine.qrels, scfg, ctx, memo=memo)
+                for (ctx, scfg), results in zip(sessions, sweep):  # frees the last setting's results
+                    result = run_irf_session(query, engine.qrels, scfg, ctx, memo=memo)
+                    results[query.query_id] = result, freeze_ranking(result.frozen)
             if grids:
-                chosen, _ = cross_validate_grid(
-                    query_ids, grids,
-                    lambda point: score_rankings(_frozen_rankings(sweep[points.index(point)], engine.qrels),
-                                                 [objective])[objective].per_query,
-                    folds=folds, seed=seed)
-                results = {
-                    qid: sweep[points.index(point)][qid]
-                    for point, fold in zip(chosen, assign_folds(query_ids, folds, seed))
-                    for qid in fold
-                }
-                _write_json(out_dir / f"chosen_params_{tag}.json", chosen)
+                chosen = cross_validate_grid(query_ids, grids, lambda point: _score_sessions(
+                    sweep[points.index(point)], relevant, [objective])[objective].per_query, folds=folds, seed=seed)
+                # fold order, which the trace file and the metrics' sums keep
+                results = {qid: sweep[points.index(point)][qid] for point, fold in chosen for qid in fold}
+                _write_json(out_dir / f"chosen_params_{tag}.json", [point for point, _ in chosen])
             else:
                 results = sweep[0]
             write_ranked_ids(out_dir / f"run_irf_{tag}.txt",
-                             [(qid, freeze_ranking(res.frozen)) for qid, res in sorted(results.items())], tag=tag)
-            write_trace(out_dir / f"trace_{tag}.jsonl", list(results.values()))
-            per_metric = score_rankings(_frozen_rankings(results, engine.qrels), metrics)
+                             [(qid, ranking) for qid, (_, ranking) in sorted(results.items())], tag=tag)
+            write_trace(out_dir / f"trace_{tag}.jsonl", [result for result, _ in results.values()])
+            per_metric = _score_sessions(results, relevant, metrics)
             _write_per_query_csv(out_dir / f"perquery_{tag}.csv", per_metric)
             row[f"{per_iter}x{iterations}"] = per_metric[objective].mean
         summary[method] = row

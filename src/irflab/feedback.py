@@ -356,7 +356,9 @@ def _translation_table(term: str, model: EmbeddingModel, erm: ErmParams) -> dict
     vocab_terms = model.terms
     sims = unit @ unit[model.vocab[term]]
     k = min(erm.neighbors, len(vocab_terms))
-    nearest = np.argpartition(-sims, k - 1)[:k] if k < len(vocab_terms) else np.arange(len(vocab_terms))
+    # every word at or above the k-th highest cosine, so that term order,
+    # not the partition, decides among the words tied at the cut
+    nearest = np.flatnonzero(sims >= -np.partition(-sims, k - 1)[k - 1])
     order = sorted(nearest.tolist(), key=lambda j: (-sims[j], vocab_terms[j]))[:k]
     raw = {vocab_terms[j]: _sigmoid(erm.sigmoid_a * (float(sims[j]) - erm.sigmoid_c)) for j in order}
     return _normalize(raw)

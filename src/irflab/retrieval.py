@@ -88,8 +88,8 @@ class RankedList:
     ``ids()`` is derived on first read and kept (an entries-built list
     starts with its own ids). ``entries`` is built afresh on every read and
     not kept, so a list that a writer or checker has read holds no (id,
-    float) tuple per row. Lists compare and hash by (query_id, entries),
-    however they were built.
+    float) tuple per row. Lists compare by identity; compare two rankings
+    by their ``entries`` or ``ids()``.
     """
 
     __slots__ = ("query_id", "positions", "scores", "index_ids", "_ids")
@@ -151,20 +151,6 @@ class RankedList:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, RankedList):
-            return NotImplemented
-        return self.query_id == other.query_id and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.query_id, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RankedList(query_id={self.query_id!r}, entries={self.entries!r})"
 
 
 def _take_top(index: Index, scores: np.ndarray, exclude: AbstractSet[str], depth: int, query_id: str) -> RankedList:

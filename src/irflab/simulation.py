@@ -112,18 +112,15 @@ class FrozenRanking:
     tail: RankedList
     early_exhausted: bool = False
 
-    @property
-    def shown(self) -> frozenset[str]:
-        return frozenset(pid for block in self.shown_blocks for pid in block)
-
 
 def freeze_ranking(frozen: FrozenRanking) -> tuple[str, ...]:
     """The evaluated list: shown blocks at their presentation ranks, then the
-    re-ranked tail over everything unshown."""
+    re-ranked tail over everything unshown. The tail keeps no ids of its
+    own for it: a caller that holds the list holds them once."""
     out: list[str] = []
     for block in frozen.shown_blocks:
         out.extend(block)
-    out.extend(frozen.tail.ids())
+    out.extend(frozen.tail.head(len(frozen.tail)))
     return tuple(out)
 
 

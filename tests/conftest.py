@@ -62,6 +62,24 @@ def ranked_over(index, entries, query_id="q0"):
     return RankedList.at_positions(query_id, index.ids, positions, scores)
 
 
+def ranking_of(ranked):
+    """A ranking as comparable data: its query id and (passage id, score)
+    entries; RankedList itself compares by identity."""
+    return ranked.query_id, ranked.entries
+
+
+def session_of(result):
+    """A session result as comparable data, its tail read as ``ranking_of``."""
+    frozen = result.frozen
+    return (frozen.query_id, frozen.shown_blocks, ranking_of(frozen.tail), frozen.early_exhausted,
+            result.trace)
+
+
+def shown_of(frozen):
+    """The passages a frozen ranking's shown blocks hold."""
+    return {pid for block in frozen.shown_blocks for pid in block}
+
+
 def random_token_lists(rng, n_passages, vocab_size, min_len=3, max_len=12):
     vocab = [f"t{i}" for i in range(vocab_size)]
     return [

@@ -160,6 +160,24 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"c\.jsonl: line 2: field 'text' must be a string"):
             ingest_corpus(path, plain_config)
 
+    @pytest.mark.parametrize("key", ["id", "doc_id"])
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"), (["a"], "list"), (1.5, "float"),
+                                             (True, "bool"), (False, "bool")])
+    def test_id_that_is_not_a_string_or_integer_names_path_and_line(self, tmp_path, plain_config, key, value,
+                                                                      kind):
+        path = tmp_path / "c.jsonl"
+        bad = dict({"id": "p2", "doc_id": "d", "text": "y"}, **{key: value})
+        self._write(path, [{"id": "p1", "doc_id": "d", "text": "x"}, bad])
+        with pytest.raises(ValueError,
+                           match=rf"c\.jsonl: line 2: field '{key}' must be a string or an integer, got {kind}"):
+            ingest_corpus(path, plain_config)
+
+    def test_integer_ids_read_as_their_decimal_strings(self, tmp_path, plain_config):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": 7, "doc_id": 70, "text": "x"}, {"id": "p2", "doc_id": "d", "text": "y"}])
+        coll = ingest_corpus(path, plain_config)
+        assert coll.ids == ("7", "p2") and coll["7"].doc_id == "70"
+
     def test_equal_tokens_are_one_object_across_passages_queries_and_index(self, tmp_path, plain_config):
         path = tmp_path / "c.jsonl"
         self._write(path, [

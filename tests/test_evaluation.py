@@ -28,7 +28,7 @@ def evaluate_rankings(rankings, relevant_by_topic, metric):
         topic: evaluate_ranking(ranking, relevant_by_topic.get(topic, frozenset()), metric)
         for topic, ranking in rankings.items()
     }
-    return MetricResult.aggregate(metric, per_query)
+    return MetricResult.aggregate(per_query)
 
 
 def oracle_metric(ranking, relevant, metric):
@@ -121,7 +121,7 @@ class TestEvaluateRanking:
 
 class TestMetricResult:
     def test_mean_is_arithmetic_mean(self):
-        res = MetricResult.aggregate("map100", {"q1": 0.2, "q2": 0.4})
+        res = MetricResult.aggregate({"q1": 0.2, "q2": 0.4})
         assert res.mean == pytest.approx(0.3)
 
     def test_evaluate_rankings_maps_topics(self):
@@ -282,6 +282,11 @@ class TestCrossValidation:
         assert a == b
         assert sorted(q for fold in a for q in fold) == sorted(ids)
 
+    def test_folds_hold_python_str(self):
+        ids = [f"q{i}" for i in range(13)]
+        for folds in (2, 5):
+            assert all(type(q) is str for fold in assign_folds(ids, folds, seed=3) for q in fold)
+
     def test_fewer_than_two_folds_rejected(self):
         ids = [f"q{i}" for i in range(6)]
         for folds in (1, 0, -1):
@@ -296,18 +301,17 @@ class TestCrossValidation:
         ids = [f"q{i}" for i in range(10)]
         def evaluate(params):
             return {q: 0.5 for q in ids}
-        chosen, scores = cross_validate_grid(ids, {"mu": [300]}, evaluate, folds=5, seed=0)
-        assert chosen == [{"mu": 300}] * 5
-        assert scores == {q: 0.5 for q in ids}
+        chosen = cross_validate_grid(ids, {"mu": [300]}, evaluate, folds=5, seed=0)
+        assert [point for point, _ in chosen] == [{"mu": 300}] * 5
+        assert [fold for _, fold in chosen] == assign_folds(ids, 5, seed=0)
 
     def test_best_point_wins_on_held_out_data(self):
         ids = [f"q{i}" for i in range(10)]
         def evaluate(params):
             # mu=500 uniformly better
             return {q: (0.9 if params["mu"] == 500 else 0.1) for q in ids}
-        chosen, scores = cross_validate_grid(ids, {"mu": [300, 500]}, evaluate, folds=5, seed=1)
-        assert all(c == {"mu": 500} for c in chosen)
-        assert all(v == 0.9 for v in scores.values())
+        chosen = cross_validate_grid(ids, {"mu": [300, 500]}, evaluate, folds=5, seed=1)
+        assert all(point == {"mu": 500} for point, _ in chosen)
 
     def test_same_seed_reproducible(self):
         ids = [f"q{i}" for i in range(12)]
@@ -318,3 +322,34 @@ class TestCrossValidation:
         a = cross_validate_grid(ids, {"m": [1, 2, 3]}, evaluate, folds=4, seed=7)
         b = cross_validate_grid(ids, {"m": [1, 2, 3]}, evaluate, folds=4, seed=7)
         assert a == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_oracle(self, data):
+        n = data.draw(st.integers(2, 14), label="queries")
+        folds = data.draw(st.integers(2, n), label="folds")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        ids = data.draw(st.permutations([f"q{i:02d}" for i in range(n)]), label="ids")
+        grid = {"a": data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)),
+                "b": data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))}
+        points = grid_points(grid)
+        # few distinct scores, so ties between points are common
+        table = {(q, i): data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])) for q in ids for i in range(len(points))}
+        evaluated = []
+
+        def evaluate(point):
+            evaluated.append(point)
+            i = points.index(point)
+            return {q: table[q, i] for q in ids}
+
+        chosen = cross_validate_grid(ids, grid, evaluate, folds=folds, seed=seed)
+        assert evaluated == points
+        # the folds partition the ids, in assign_folds order
+        expected_folds = assign_folds(ids, folds, seed)
+        assert [fold for _, fold in chosen] == expected_folds
+        assert sorted(q for _, fold in chosen for q in fold) == sorted(ids)
+        for point, fold in chosen:
+            train = [q for q in ids if q not in fold]
+            means = [sum(table[q, i] for q in train) / len(train) for i in range(len(points))]
+            # the first point with the best mean over the other folds
+            assert point == points[means.index(max(means))]

@@ -434,6 +434,24 @@ class TestERM:
         fresh = toy_embeddings(model.word_vectors, terms=["q", "near", "far"])
         assert _translation_tables(["q"], fresh, erm)["q"] == first["q"]
 
+    def test_neighbors_tied_at_the_cut_are_taken_in_term_order(self):
+        from irflab.feedback import _translation_tables
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            # 25 words share one vector, so their cosines tie exactly, and the
+            # vocabulary rows are not in term order
+            n, dim = 60, 4
+            vectors = rng.normal(size=(n, dim))
+            vectors[rng.choice(n, size=25, replace=False)] = rng.normal(size=dim)
+            terms = [f"w{int(i):02d}" for i in rng.permutation(n)]
+            model = toy_embeddings(vectors, terms=terms)
+            query = terms[0]
+            unit = model.unit_word_vectors()
+            sims = unit @ unit[model.vocab[query]]
+            expected = sorted(range(n), key=lambda j: (-sims[j], terms[j]))[:10]
+            table = _translation_tables([query], model, ErmParams(neighbors=10))[query]
+            assert list(table) == [terms[j] for j in expected]
+
     def test_pure_translation_weights_hand_computation(self):
         # orthogonal unit vectors for x and y; sigma(a(cos - c)) with a=10,
         # c=0.5 gives T(x|x) = sigma(5), T(x|y) = sigma(-5), which already

@@ -2,9 +2,13 @@
 no module imports a name it never uses, no private function or class of
 the package is left without a caller in the package, and no public one is
 left both unexported and unused by the package, the demos and the
-benchmarks (a helper that only tests call belongs in the tests)."""
+benchmarks (a helper that only tests call belongs in the tests). Every
+irflab name the benchmarks import, read or trace exists, so dropping one
+fails here rather than in a benchmark run."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "irflab"
 MODULES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
-USERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")])
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+USERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *BENCHMARKS])
 RE_EXPORTING = {PACKAGE / "__init__.py"}
 
 
@@ -91,6 +96,62 @@ def test_every_public_definition_is_exported_or_used():
     assert not unused, f"public definitions no __all__ lists and only tests use: {unused}"
 
 
+def irflab_reads(tree: ast.Module):
+    """The dotted irflab path of every name the module imports from irflab,
+    and of every attribute it reads off a name such an import bound."""
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "irflab":
+                    bound[alias.asname or "irflab"] = alias.name if alias.asname else "irflab"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "irflab":
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            yield f"{bound[node.value.id]}.{node.attr}"
+
+
+def resolve(dotted: str):
+    """The object at a dotted path, importing the submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if isinstance(obj, types.ModuleType) and not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def missing(paths) -> list[str]:
+    out = []
+    for dotted in paths:
+        try:
+            resolve(dotted)
+        except (AttributeError, ImportError):
+            out.append(dotted)
+    return out
+
+
+@pytest.mark.parametrize("path", BENCHMARKS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_irflab_name_a_benchmark_reads_exists(path):
+    absent = missing(irflab_reads(parse(path)))
+    assert not absent, f"{path.relative_to(ROOT)} reads irflab names that do not exist: {absent}"
+
+
+def test_every_traced_function_exists():
+    tree = parse(ROOT / "benchmarks" / "tracing.py")
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets)]
+    traced = [f"irflab.{layer}.{name}" for layer, names in layers.items() for name in names]
+    assert traced
+    absent = missing(traced)
+    assert not absent, f"benchmarks/tracing.py LAYER_FUNCTIONS names functions that do not exist: {absent}"
+    assert all(callable(resolve(dotted)) for dotted in traced)
+
+
 def test_the_checks_catch_what_they_are_for():
     stale = ast.parse("import os\nfrom typing import Mapping, Sequence\n\nx: Mapping = {}\n")
     assert [name for name, _ in imported_names(stale) if name not in read_names(stale)] == ["os", "Sequence"]
@@ -100,3 +161,9 @@ def test_the_checks_catch_what_they_are_for():
                        "def h(): ...\ndef k(): ...\n")
     users = [ast.parse("from a import f\nc.m()\n__all__ = ['g']\n"), ast.parse("h()\n")]
     assert unused_public({"a.py": module}, users) == ["a.py: C", "a.py: k"]
+    reads = ast.parse("import irflab\nfrom irflab import retrieval as r, nothing_here\n"
+                      "from irflab.retrieval import rank_ql\nirflab.gone()\nr.RankedList\nr.dropped\n")
+    dotted = list(irflab_reads(reads))
+    assert sorted(dotted) == ["irflab.gone", "irflab.nothing_here", "irflab.retrieval", "irflab.retrieval.RankedList",
+                              "irflab.retrieval.dropped", "irflab.retrieval.rank_ql"]
+    assert sorted(missing(dotted)) == ["irflab.gone", "irflab.nothing_here", "irflab.retrieval.dropped"]

@@ -34,7 +34,7 @@ from irflab.simulation import (
     write_trace,
 )
 
-from conftest import make_collection, make_query, random_token_lists, shuffled_collection
+from conftest import make_collection, make_query, random_token_lists, ranking_of, session_of, shown_of, shuffled_collection
 
 
 def planted_context(rng, n_passages=40, vocab=10, n_relevant=8, qid="q0"):
@@ -67,7 +67,7 @@ class TestSessionBasics:
         # the shown block is exactly the initial retrieval's top 10
         initial = rank_ql(query_mle(query), ctx.index, ctx.retrieval, 10)
         assert frozen.shown_blocks[0] == initial.ids()
-        assert not set(frozen.tail.ids()) & frozen.shown
+        assert not set(frozen.tail.ids()) & shown_of(frozen)
 
     def test_single_iteration_tail_matches_batch_estimator(self, rng):
         ctx, query, qrels = planted_context(rng)
@@ -85,7 +85,7 @@ class TestSessionBasics:
         cfg = SessionConfig(per_iter=2, iterations=5, rf_method="rm3")
         result = run_irf_session(query, qrels, cfg, ctx)
         assert sum(len(block) for block in result.frozen.shown_blocks[:-1]) == (5 - 1) * 2
-        assert len(result.frozen.shown) == 10
+        assert len(shown_of(result.frozen)) == 10
 
     def test_relevant_top_passage_never_reappears(self, rng):
         ctx, query, qrels = planted_context(rng)
@@ -112,7 +112,7 @@ class TestSessionBasics:
         cfg = SessionConfig(per_iter=2, iterations=5, rf_method="distillation")
         a = run_irf_session(query, qrels, cfg, ctx)
         b = run_irf_session(query, qrels, cfg, ctx)
-        assert a.frozen == b.frozen
+        assert session_of(a) == session_of(b)
 
     def test_rocchio_session_runs_bm25_first(self, rng):
         ctx, query, qrels = planted_context(rng)
@@ -135,7 +135,7 @@ class TestSessionBasics:
         with caplog.at_level("WARNING"):
             result = run_irf_session(make_query(["topic"], "q0"), judgments, cfg, ctx)
         assert result.frozen.early_exhausted
-        assert len(result.frozen.shown) == 3  # corpus exhausted
+        assert len(shown_of(result.frozen)) == 3  # corpus exhausted
         assert any("ending session early" in r.message for r in caplog.records)
         assert len(result.frozen.tail) == 0
 
@@ -287,7 +287,7 @@ class TestFreezingProperty:
         for i, block in enumerate(blocks):
             assert full[i * n:i * n + len(block)] == block
         assert full[sum(map(len, blocks)):] == frozen.tail.ids()
-        assert not set(frozen.tail.ids()) & frozen.shown
+        assert not set(frozen.tail.ids()) & shown_of(frozen)
         # later iterations never move a shown block: a session stopped after
         # i iterations shows the same first i blocks, and its tail, ranked
         # from the same judgments, opens with block i
@@ -438,12 +438,12 @@ class TestOneRel:
             draws = run_one_rel_experiment(query, qrels, baseline, ctx, fusion=fusion, draws=6, seed=5)
             assert len({d.fed_passage for d in draws}) > 1
             for d in draws:
-                assert d.ranking == oracle(101, {d.fed_passage}).relabel(d.topic_id)
+                assert ranking_of(d.ranking) == ranking_of(oracle(101, {d.fed_passage}).relabel(d.topic_id))
         assert not fused
         starts_from = {"ql": ("ql",) + simulation.LM_METHODS, "bm25": ("bm25",) + simulation.VSM_METHODS}[baseline]
         for method in starts_from:
             for depth in (1, 100):
-                assert simulation.initial_ranking(query, method, ctx, depth) == oracle(depth)
+                assert ranking_of(simulation.initial_ranking(query, method, ctx, depth)) == ranking_of(oracle(depth))
 
     def test_fusion_and_erm_paths(self, rng):
         import dataclasses
@@ -490,8 +490,8 @@ class TestOneRel:
         cfg = SessionConfig(per_iter=2, iterations=3, rf_method="rm3",
                             fusion=FusionConfig(lambda_sf=1.5, representation_mode="pv"))
         result = run_irf_session(query, qrels, cfg, ctx)
-        assert len(result.frozen.shown) == 6
-        assert not set(result.frozen.tail.ids()) & result.frozen.shown
+        assert len(shown_of(result.frozen)) == 6
+        assert not set(result.frozen.tail.ids()) & shown_of(result.frozen)
 
     def test_fusion_without_model_rejected(self, rng):
         from irflab.fusion import FusionConfig
