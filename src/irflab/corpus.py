@@ -1,10 +1,15 @@
 """Passage collections, tokenization, document segmentation, and judgments.
 
-Tokens and passage ids are interned (``sys.intern``), so a collection, its
-queries and a model loaded beside it hold one ``str`` per distinct term or
-id: token memory is bounded by the number of distinct terms, and the token
-tuples hold only references. Equal tokens are one object, so the index's
-term dicts hash each term once.
+Tokens, passage ids and doc ids are interned (``sys.intern``), so a
+collection, its queries, a model and a run file read beside it hold one
+``str`` per distinct term or id: token memory is bounded by the number of
+distinct terms, and the token tuples hold only references. Equal tokens are
+one object, so the index's term dicts hash each term once.
+
+``ingest_corpus`` keeps each passage's tokens, not its text: an ingested
+passage's ``text`` is None. Passages built to be written (``synthgen``,
+``segment_document``) carry their text, and ``write_corpus`` writes only
+such passages.
 
 File formats:
   corpus   JSON-lines, one object per line: {"id": ..., "doc_id": ..., "text": ...}
@@ -31,6 +36,9 @@ from .stopwords import DEFAULT_STOPWORDS
 logger = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
+# tokenize's ASCII path: every ASCII character outside [a-z0-9] becomes a space
+_ASCII_WORDS = "".join(c if c.isdigit() or "a" <= c <= "z" else " " for c in map(chr, range(128)))
+_DECODER = json.JSONDecoder()
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.?!])\s+")
 
 STEMMERS = ("none", "s", "porter")
@@ -106,8 +114,13 @@ class TokenizerConfig:
 
 def tokenize(text: str, config: TokenizerConfig) -> list[str]:
     """Lowercase, extract word tokens, drop stopwords, stem, and intern each
-    token, so equal tokens are one object."""
-    tokens = _WORD_RE.findall(text.lower())
+    token, so equal tokens are one object.
+
+    Word tokens are the runs of [a-z0-9] in the lowercased text. ASCII text
+    gets them by ``translate`` and ``split``; other text, where translating
+    was several times slower, by the regular expression."""
+    text = text.lower()
+    tokens = text.translate(_ASCII_WORDS).split() if text.isascii() else _WORD_RE.findall(text)
     if config.stopwords:
         tokens = filterfalse(config.stopwords.__contains__, tokens)
     if config.stemming == "s":
@@ -119,11 +132,12 @@ def tokenize(text: str, config: TokenizerConfig) -> list[str]:
 
 @dataclass(frozen=True, slots=True)
 class Passage:
-    """A retrieval unit: one answer passage from a parent document."""
+    """A retrieval unit: one answer passage from a parent document. ``text``
+    is None once ingested: retrieval, feedback and training read tokens."""
 
     passage_id: str
     doc_id: str
-    text: str
+    text: str | None
     tokens: tuple[str, ...] = ()
 
 
@@ -180,7 +194,9 @@ class Judgments:
 
 
 def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
-    """Read a JSON-lines corpus file, tokenizing each passage."""
+    """Read a JSON-lines corpus file, tokenizing each passage. Passage ids
+    and doc ids are interned; the text is not kept (``Passage.text`` is
+    None)."""
     passages = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -189,9 +205,14 @@ def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
+                obj, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):  # not one whole JSON value: json.loads raises the error it always has
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object, got {type(obj).__name__}")
             for key in ("id", "doc_id", "text"):
@@ -211,13 +232,17 @@ def ingest_corpus(path, config: TokenizerConfig) -> PassageCollection:
             if not isinstance(text, str):
                 raise ValueError(f"{path}: line {lineno}: field 'text' must be a string, got {type(text).__name__}")
             seen.add(pid)
-            passages.append(
-                Passage(passage_id=pid, doc_id=str(obj["doc_id"]), text=text, tokens=tuple(tokenize(text, config)))
-            )
+            passages.append(Passage(passage_id=pid, doc_id=sys.intern(str(obj["doc_id"])), text=None,
+                                    tokens=tuple(tokenize(text, config))))
     return PassageCollection(passages)
 
 
 def write_corpus(path, collection: PassageCollection) -> None:
+    """Write passages that carry their text as JSON lines. ValueError, before
+    anything is written, if a passage has none (an ingested one)."""
+    missing = next((p for p in collection if p.text is None), None)
+    if missing is not None:
+        raise ValueError(f"passage {missing.passage_id!r} has no text to write: ingest_corpus does not keep it")
     with open(path, "w", encoding="utf-8") as fh:
         for p in collection:
             fh.write(json.dumps({"id": p.passage_id, "doc_id": p.doc_id, "text": p.text}) + "\n")

@@ -10,7 +10,11 @@ the postings. Term ids and tfs are built as int32; positions, ``row_ptr``
 and ``tie_rank`` stay int64, as int32 fancy indices doubled ``ql_scores``'s
 scatter-add (1.4 -> 3.2 us at 42 postings). cf and df are arrays by term
 id, read through ``collection_prob`` and ``idf``. The index holds the
-collection's ``ids`` and ``id_to_pos``: one id map serves both.
+collection's ``ids`` and ``id_to_pos``: one id map serves both. It reads
+passages' tokens only; ingested passages keep no text, and their ids and
+doc ids are interned. The (passage, term) sort keys are int32 when
+passages x terms < 2**31, and each token-length temporary is dropped once
+it is dead.
 
 ``memo`` is the one get-or-build behind every cache in irflab. The index
 keeps what depends on no query, read-only, for its lifetime, in its memo
@@ -122,18 +126,25 @@ def build_index(collection: PassageCollection) -> Index:
     v = len(terms)
     token_ids = np.fromiter(map(term_ids.__getitem__, chain.from_iterable(rows)),
                             dtype=np.int32, count=int(doc_len.sum()))
+    cf = np.bincount(token_ids, minlength=v)
     # sorted passage-major keys: each run of equal keys is one row entry, its length the tf
-    keys = np.repeat(np.arange(n), doc_len) * v + token_ids
+    keys = np.repeat(np.arange(n, dtype=np.int32 if n * v < 2**31 else np.int64), doc_len)
+    keys *= v
+    keys += token_ids
+    del token_ids
     keys.sort()
     first = np.flatnonzero(np.diff(keys, prepend=-1))
+    row_pos = np.empty(len(first), dtype=np.int64)
     row_terms, row_tfs = np.empty((2, len(first)), dtype=np.int32)
-    row_pos = np.divmod(keys[first], v, out=(None, row_terms))[0]
+    np.divmod(keys[first], v, out=(row_pos, row_terms))
     np.subtract(np.append(first[1:], len(keys)), first, out=row_tfs)
+    del keys, first
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_pos, minlength=n), out=row_ptr[1:])
     # the transpose: a stable sort by term keeps each term's positions ascending
     order = np.argsort(row_terms, kind="stable")
     post_pos, post_tfs = row_pos[order], row_tfs[order]
+    del order, row_pos
     post_pos.setflags(write=False)  # scorers cache views of the postings
     post_tfs.setflags(write=False)
     df = np.bincount(row_terms, minlength=v)
@@ -154,7 +165,7 @@ def build_index(collection: PassageCollection) -> Index:
         row_terms=row_terms,
         row_tfs=row_tfs,
         postings=postings,
-        cf=np.bincount(token_ids, minlength=v),
+        cf=cf,
         df=df,
         total_tokens=int(doc_len.sum()),
         passage_count=n,

@@ -47,6 +47,7 @@ nothing.
 from __future__ import annotations
 
 import logging
+import sys
 from array import array
 from dataclasses import dataclass
 from operator import gt
@@ -354,13 +355,14 @@ def read_run(path) -> dict[str, list[tuple[str, float]]]:
 
     The (id, score) rows are the result from the first line on: a query's
     ranks wait in a 64-bit array and reorder its rows in place only when
-    the file has them out of order, and a file shares one string per
-    distinct passage id. A rank that is not a 64-bit integer or a score
-    that is not a number raises ValueError naming the path and the line.
+    the file has them out of order. Passage ids are interned
+    (``sys.intern``), so a run file shares one string per distinct id with
+    the collection ingested beside it. A rank that is not a 64-bit integer
+    or a score that is not a number raises ValueError naming the path and
+    the line.
     """
     out: dict[str, list[tuple[str, float]]] = {}
     ranks: dict[str, array] = {}
-    pids: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
@@ -378,7 +380,7 @@ def read_run(path) -> dict[str, list[tuple[str, float]]]:
             except (ValueError, OverflowError):
                 raise ValueError(f"{path}: line {lineno}: rank {rank_str!r} is not a 64-bit integer") from None
             try:
-                rows.append((pids.setdefault(pid, pid), float(score_str)))
+                rows.append((sys.intern(pid), float(score_str)))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: score {score_str!r} is not a number") from None
     for qid, rows in out.items():

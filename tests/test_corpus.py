@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from irflab.corpus import (
     STEMMERS,
     Passage,
+    PassageCollection,
     TokenizerConfig,
+    _ASCII_WORDS,
     _WORD_RE,
     _porter_stem,
     _s_stem,
@@ -27,6 +29,7 @@ from irflab.corpus import (
 )
 from irflab.index import build_index
 from irflab.stopwords import DEFAULT_STOPWORDS
+from irflab.synthgen import GeneratorConfig, generate
 
 
 def reference_tokenize(text, config):
@@ -100,6 +103,20 @@ class TestTokenize:
         assert tokens == reference_tokenize(text, cfg)
         assert all(tok is sys.intern(tok) for tok in tokens)
 
+    def test_every_code_point_tokenizes_as_the_regex(self, plain_config):
+        # ASCII text takes the translate path, other text the regex; U+212A
+        # (Kelvin sign) lowercases to an ASCII "k" and so takes the former
+        assert len(_ASCII_WORDS) == 128
+        texts = [f"a{chr(c)}Z9" for c in range(0x110000)]
+        assert [t for t in texts if tokenize(t, plain_config) != _WORD_RE.findall(t.lower())] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127)),
+                     st.text(st.sampled_from("aZ9 _-.\t\u212a\u0130\u00e9"))))
+    def test_text_tokenizes_as_the_regex(self, text):
+        plain = TokenizerConfig(stopwords=frozenset(), stemming="none")
+        assert tokenize(text, plain) == _WORD_RE.findall(text.lower())
+
 
 class TestIngest:
     def _write(self, path, rows):
@@ -125,6 +142,25 @@ class TestIngest:
         ])
         with pytest.raises(ValueError, match="line 2"):
             ingest_corpus(path, plain_config)
+
+    GOOD = '{"id": "p1", "doc_id": "d", "text": "x"}'
+
+    @pytest.mark.parametrize("line, message", [
+        ("\ufeff" + GOOD, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))"),
+        (GOOD + " x", "invalid JSON (Extra data: line 1 column 42 (char 41))"),
+        (GOOD + GOOD, "invalid JSON (Extra data: line 1 column 41 (char 40))"),
+        (GOOD + " " + GOOD, "invalid JSON (Extra data: line 1 column 42 (char 41))"),
+        ('{"id": "p1", "doc_id": "d", "text": "x",}',
+         "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 41 (char 40))"),
+        ("NaN", "expected a JSON object, got float"),
+    ])
+    def test_lines_the_decoder_does_not_take_whole_raise_the_json_loads_error(self, tmp_path, plain_config,
+                                                                              line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p0", "doc_id": "d", "text": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            ingest_corpus(path, plain_config)
+        assert str(exc.value) == f"{path}: line 2: {message}"
 
     def test_invalid_json_names_line(self, tmp_path, plain_config):
         path = tmp_path / "c.jsonl"
@@ -211,18 +247,36 @@ class TestIngest:
         coll = ingest_corpus(path, plain_config)
         assert len(coll) == 20_000
 
-    def test_round_trip(self, tmp_path, plain_config, rng):
+    def test_ingested_passages_keep_no_text_and_share_interned_ids(self, tmp_path, plain_config):
         path = tmp_path / "c.jsonl"
-        rows = [
-            {"id": f"p{i}", "doc_id": f"d{i}", "text": " ".join(f"w{int(j)}" for j in rng.integers(0, 30, 6))}
-            for i in range(25)
-        ]
-        self._write(path, rows)
+        self._write(path, [{"id": f"p{i}", "doc_id": f"d{i // 2}", "text": f"w{i} w"} for i in range(4)])
         coll = ingest_corpus(path, plain_config)
-        out = tmp_path / "rt.jsonl"
-        write_corpus(out, coll)
-        again = ingest_corpus(out, plain_config)
+        assert [p.text for p in coll] == [None] * 4
+        assert [p.doc_id for p in coll] == ["d0", "d0", "d1", "d1"]
+        assert coll["p0"].doc_id is coll["p1"].doc_id is sys.intern("d0")
+        assert coll["p2"].doc_id is coll["p3"].doc_id
+        assert all(pid is sys.intern(pid) for pid in coll.ids)
+
+    def test_writing_an_ingested_collection_raises_and_writes_nothing(self, tmp_path, plain_config):
+        path = tmp_path / "c.jsonl"
+        self._write(path, [{"id": "p1", "doc_id": "d1", "text": "a b"}, {"id": "p2", "doc_id": "d1", "text": "c"}])
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="passage 'p1' has no text to write"):
+            write_corpus(out, ingest_corpus(path, plain_config))
+        assert not out.exists()
+        mixed = PassageCollection([Passage("p0", "d0", "z", ("z",)), *ingest_corpus(path, plain_config)])
+        with pytest.raises(ValueError, match="passage 'p1' has no text to write"):
+            write_corpus(out, mixed)
+        assert not out.exists()
+
+    def test_round_trip(self, tmp_path, plain_config):
+        # a synthgen-written corpus re-ingests to the same ids and tokens
+        coll, _, _ = generate(GeneratorConfig(seed=3, num_queries=4, num_noise_passages=30, vocab_size=60))
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, coll)
+        again = ingest_corpus(path, plain_config)
         assert again.ids == coll.ids
+        assert [p.doc_id for p in again] == [p.doc_id for p in coll]
         assert [p.tokens for p in again] == [p.tokens for p in coll]
 
 

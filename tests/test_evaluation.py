@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irflab
 from irflab.evaluation import (
     MetricResult,
     _exhaustive_p,
@@ -175,6 +180,31 @@ class TestFisherRandomization:
             for permutations in (0, -1, -2):
                 with pytest.raises(ValueError, match="permutations must be >= 1"):
                     fisher_randomization(a, b, permutations=permutations)
+
+    def test_p_values_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded gemv splits a product's rows among threads by the row
+        # count, so means may round differently per sub-block size; the
+        # threshold's slack must keep every p-value equal
+        code = (
+            "import numpy as np\n"
+            "from irflab.evaluation import fisher_randomization\n"
+            "rng = np.random.default_rng(5)\n"
+            "for n in (21, 50, 130):\n"
+            "    for d in (rng.random(n), rng.choice([0.0, 0.1, 0.25, 1 / 3, 0.5], n)):\n"
+            "        a = {f'q{i}': float(x) for i, x in enumerate(d)}\n"
+            "        b = {f'q{i}': float(x) for i, x in enumerate(rng.permutation(d))}\n"
+            "        for perms in (1_025, 2_047, 20_001, 21_025, *rng.integers(1_000, 45_000, 3).tolist()):\n"
+            "            print(n, perms, repr(fisher_randomization(a, b, permutations=perms, seed=perms)))\n"
+        )
+        src = str(Path(irflab.__file__).resolve().parents[1])
+        out = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out[threads] = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                          text=True, timeout=120, check=True).stdout.splitlines()
+        assert len(out["1"]) == 42
+        assert out["1"] == out["2"]
 
     def test_monte_carlo_path_in_unit_range(self, rng):
         n = 25  # above the exhaustive limit

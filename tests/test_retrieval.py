@@ -1,5 +1,6 @@
 """QL / BM25 / Rocchio scoring against brute-force oracles."""
 
+import json
 import math
 import pickle
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irflab import retrieval
+from irflab.corpus import TokenizerConfig, ingest_corpus
 from irflab.index import build_index, collection_prob, tfidf_vector
 from irflab.retrieval import (
     RankedList,
@@ -565,6 +567,17 @@ class TestRunFiles:
         run = read_run(path)
         assert run == {"q1": [("p7", 0.9), ("p7", 0.5)], "q2": [("p7", 0.2)]}
         assert run["q1"][0][0] is run["q1"][1][0] is run["q2"][0][0]
+
+    def test_ids_read_beside_a_collection_are_its_strings(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps({"id": f"x{i}-{i * 7}", "doc_id": "d", "text": "w"}) + "\n"
+                                  for i in range(5)), encoding="utf-8")
+        coll = ingest_corpus(corpus, TokenizerConfig())
+        path = tmp_path / "run.txt"
+        write_ranked_ids(path, [("q1", coll.ids[::-1]), ("q2", coll.ids[1:3])])
+        run = read_run(path)
+        assert all(pid is coll.ids[coll.id_to_pos[pid]] for rows in run.values() for pid, _ in rows)
+        assert [pid for pid, _ in run["q2"]] == list(coll.ids[1:3])
 
     def test_read_run_peaks_under_a_quarter_above_its_result(self, tmp_path):
         path = tmp_path / "run.txt"
