@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_experiment_config, tokenizer_from_config
+from .config import ConfigError, _build, load_experiment_config, tokenizer_from_config
 from .corpus import TokenizerConfig, ingest_corpus
 from .embeddings import TrainConfig, save_model, train_pv_hdc, train_skipgram
 from .evaluation import DEFAULT_PERMUTATIONS, METRICS, SIGNIFICANCE_THRESHOLD
@@ -118,7 +118,8 @@ def _load_config(args) -> dict:
 
 def _cmd_gen_synth(args) -> int:
     cfg = _load_config(args)
-    gen = GeneratorConfig(
+    gen = _build(
+        GeneratorConfig,
         num_queries=args.queries,
         passages_per_query_relevant=args.relevant_per_query,
         num_noise_passages=args.noise,
@@ -138,8 +139,8 @@ def _cmd_train_embeddings(args) -> int:
         tokenizer = tokenizer_from_config(load_experiment_config(args.config))
     else:
         tokenizer = TokenizerConfig.embedding()
-    collection = ingest_corpus(args.corpus, tokenizer)
-    config = TrainConfig(
+    config = _build(
+        TrainConfig,
         dim=args.dim,
         negatives=args.negatives,
         learning_rate=args.learning_rate,
@@ -150,6 +151,7 @@ def _cmd_train_embeddings(args) -> int:
         corruption_q=args.corruption_q,
         mode=CLI_TRAIN_MODES[args.mode],
     )
+    collection = ingest_corpus(args.corpus, tokenizer)
     trainer = train_skipgram if config.mode == "skipgram" else train_pv_hdc
     model = trainer(collection, config)
     # load_engine refuses the model in an experiment that tokenizes otherwise
@@ -176,6 +178,8 @@ def _cmd_run_onerel(args) -> int:
 
 def _cmd_eval(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ConfigError(f"--metrics names no metric; expected a comma list from {METRICS}")
     for metric in metrics:
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")

@@ -322,6 +322,9 @@ def load_queries(path, config: TokenizerConfig) -> list[Query]:
             if "\t" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'qid<TAB>text'")
             qid, text = line.split("\t", 1)
+            if qid.split() != [qid]:
+                # whitespace would corrupt the qrels and run-file formats
+                raise ValueError(f"{path}: line {lineno}: query id {qid!r} must be non-empty and whitespace-free")
             if qid in queries:
                 raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
             tokens = tuple(tokenize(text, config))

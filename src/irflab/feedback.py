@@ -15,12 +15,12 @@ one), so they serialize directly with ``json.dumps`` for inspection. Pools
 are Passage lists; their term counts are read from the index's forward
 rows, so every pooled passage must be in the index.
 
-Per-passage evidence is computed once and combined in pool order, so an
-estimate is bit for bit the same however warm its caches are. Term counts
-and tf-idf rows come from the index; what depends on the query goes in the
-optional ``cache`` dict that rm3 and erm take, one per query over one index
-and embedding model. ``irflab.simulation`` says what it holds and how long
-a session keeps it. Without a cache every call computes afresh.
+Per-passage evidence is combined in pool order, so an estimate is bit for
+bit the same however warm its caches are. Term counts and tf-idf rows come
+from the index. log P(Q|D) is computed on every call. ERM's translation
+likelihoods go in the optional ``cache`` dict that estimate_erm takes, one
+per query over one index and embedding model; ``irflab.simulation`` says
+how long a session keeps it. Without a cache every call computes afresh.
 """
 
 from __future__ import annotations
@@ -158,21 +158,6 @@ def _pool_counts(pool: Sequence[Passage], index: Index) -> list[tuple[Mapping[st
     return [(index.term_counts(p), len(p.tokens)) for p in pool]
 
 
-def _evidence(cache: dict | None, key: tuple) -> dict:
-    """The table under ``key`` in the caller's cache, made on first use; a
-    fresh table, kept by no one, without a cache."""
-    return {} if cache is None else memo(cache, key, dict)
-
-
-def _pool_log_likelihoods(query: Query, pool: Sequence[Passage], counts: Sequence[tuple[Mapping[str, int], int]],
-                          index: Index, mu: float, cache: dict | None) -> list[float]:
-    """log P(Q|D) of each pooled passage at mu, in pool order, each computed
-    once per cache."""
-    logps = _evidence(cache, ("logp", mu))
-    return [memo(logps, passage.passage_id, lambda: _log_query_likelihood(query, passage_counts, dlen, index, mu))
-            for passage, (passage_counts, dlen) in zip(pool, counts)]
-
-
 def _pool_weighted_model(pool: Sequence[tuple[Mapping[str, int], int]], doc_weights: np.ndarray) -> dict[str, float]:
     """P(w|R) = sum_D weight(D) * P_ml(w|D) with weights summing to one."""
     model: dict[str, float] = {}
@@ -192,20 +177,17 @@ def estimate_rm3(
     index: Index,
     params: FeedbackParams,
     mu: float = 1000.0,
-    cache: dict | None = None,
 ) -> QueryModel:
     """Relevance model over the pool, truncated to the top m terms and
     interpolated with the query MLE by alpha_interp.
 
-    ``cache`` (see the module docstring) keeps each passage's log P(Q|D)
-    per mu. A query term unseen in the collection is skipped with a warning
-    each time a log P(Q|D) is computed: per pooled passage and call without
-    a cache, once per distinct (passage, mu) with one.
+    A query term unseen in the collection is skipped with a warning per
+    pooled passage and call, each time a log P(Q|D) is computed.
     """
     if not rel_pool:
         raise ValueError("relevant pool is empty")
     pool = _pool_counts(rel_pool, index)
-    logps = np.array(_pool_log_likelihoods(query, rel_pool, pool, index, mu, cache))
+    logps = np.array([_log_query_likelihood(query, counts, dlen, index, mu) for counts, dlen in pool])
     weights = np.exp(logps - logps.max())
     weights /= weights.sum()
     relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
@@ -389,12 +371,11 @@ def estimate_erm(
     probability space, so this suits short queries (topic-description
     length), not paragraph-length ones.
 
-    ``cache`` (see the module docstring) keeps each passage's log P(Q|D)
-    per mu and its translation likelihood per ErmParams. The warnings fire
-    once per distinct computation: the out-of-vocabulary one once per call
-    (a feedback session computes each distinct estimate once), the
-    unseen-term one per pooled passage and call without a cache, and once
-    per distinct (passage, mu) with one.
+    ``cache`` (see the module docstring) keeps each passage's translation
+    likelihood per ErmParams; the exact-match log P(Q|D) is computed on
+    every call. The out-of-vocabulary warning fires once per call (a
+    feedback session computes each distinct estimate once), the
+    unseen-term one per pooled passage and call, as rm3's does.
     """
     if embeddings is None:
         raise ValueError("estimate_erm requires an embedding model")
@@ -407,10 +388,10 @@ def estimate_erm(
     tables = _translation_tables(sorted(set(in_vocab)), embeddings, erm)
 
     pool = _pool_counts(rel_pool, index)
-    logps = _pool_log_likelihoods(query, rel_pool, pool, index, mu, cache)
-    translations = _evidence(cache, ("erm", erm))
+    translations = {} if cache is None else memo(cache, ("erm", erm), dict)
     weights = np.zeros(len(rel_pool))
-    for i, (passage, (counts, dlen), logp) in enumerate(zip(rel_pool, pool, logps)):
+    for i, (passage, (counts, dlen)) in enumerate(zip(rel_pool, pool)):
+        logp = _log_query_likelihood(query, counts, dlen, index, mu)
         p_trans = memo(translations, passage.passage_id, lambda: math.prod(  # prod_q sum_w T(q|w) P_ml(w|D)
             (sum(tw * counts.get(w, 0) / dlen for w, tw in tables[tok].items()) if dlen else 0.0
              for tok in in_vocab), start=1.0))

@@ -35,9 +35,9 @@ every passage excluded), the general path above decides instead.
 
 A ranking stays in index positions: a RankedList holds positions into an
 ids tuple (the index's; a list built from entries has its own) and their
-scores as two arrays, and fused_rank re-ranks those arrays. Passage ids are
-built only when read, for a shown block, a tail or a run file, and entries
-on every read.
+scores as two arrays, and fused_rank re-ranks those arrays. Passage ids and
+entries are built on every read, for a shown block, a tail or a run file,
+and not kept.
 
 Query likelihood's logs at each mu (``ql_weights``) are computed here and
 kept in the index's memo (see ``irflab.index``); the other scorers keep
@@ -86,20 +86,20 @@ class RankedList:
     tuple ``index_ids``) and ``scores`` (float64). Rankers and fused_rank
     share the index's ``ids``; ``RankedList(query_id, entries)`` ranks
     positions 0 .. n-1 of the entries' own ids, so fused_rank refuses it.
-    ``ids()`` is derived on first read and kept (an entries-built list
-    starts with its own ids). ``entries`` is built afresh on every read and
-    not kept, so a list that a writer or checker has read holds no (id,
-    float) tuple per row. Lists compare by identity; compare two rankings
-    by their ``entries`` or ``ids()``.
+    ``ids()`` and ``entries`` are built afresh on every read and not kept,
+    so a list that a writer or checker has read holds no id tuple and no
+    (id, float) tuple per row. Lists compare by identity; compare two
+    rankings by their ``entries`` or ``ids()``. Unpickling or copying a
+    list raises the read-only AttributeError: its pickle would carry the
+    whole ids tuple, so a worker process returns ids, never a list.
     """
 
-    __slots__ = ("query_id", "positions", "scores", "index_ids", "_ids")
+    __slots__ = ("query_id", "positions", "scores", "index_ids")
 
     def __init__(self, query_id: str, entries: Iterable[tuple[str, float]]):
         entries = tuple(entries)
-        ids = tuple([pid for pid, _ in entries])
-        self._hold(query_id, ids, np.arange(len(entries), dtype=np.int64),
-                   np.array([score for _, score in entries], dtype=np.float64), ids)
+        self._hold(query_id, tuple([pid for pid, _ in entries]), np.arange(len(entries), dtype=np.int64),
+                   np.array([score for _, score in entries], dtype=np.float64))
 
     @classmethod
     def at_positions(cls, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray,
@@ -110,8 +110,7 @@ class RankedList:
         ranked._hold(query_id, index_ids, positions, scores)
         return ranked
 
-    def _hold(self, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray, scores: np.ndarray,
-              ids: tuple[str, ...] | None = None) -> None:
+    def _hold(self, query_id: str, index_ids: tuple[str, ...], positions: np.ndarray, scores: np.ndarray) -> None:
         positions.setflags(write=False)
         scores.setflags(write=False)
         _set = object.__setattr__
@@ -119,13 +118,9 @@ class RankedList:
         _set(self, "positions", positions)
         _set(self, "scores", scores)
         _set(self, "index_ids", index_ids)
-        _set(self, "_ids", ids)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RankedList is read-only; cannot set {name!r}")
-
-    def __reduce__(self):
-        return RankedList.at_positions, (self.query_id, self.index_ids, self.positions, self.scores)
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
@@ -133,22 +128,13 @@ class RankedList:
         return tuple(zip(self.ids(), self.scores.tolist()))
 
     def ids(self) -> tuple[str, ...]:
-        ids = self._ids
-        if ids is None:
-            ids = self.head(len(self))
-            object.__setattr__(self, "_ids", ids)
-        return ids
+        """Every passage id in rank order, built on each read."""
+        return self.head(len(self))
 
     def head(self, n: int) -> tuple[str, ...]:
         """The first n passage ids, read without building the rest."""
-        if self._ids is not None:
-            return self._ids[:n]
         index_ids = self.index_ids
         return tuple([index_ids[i] for i in self.positions[:n].tolist()])
-
-    def relabel(self, query_id: str) -> "RankedList":
-        """The same ranking under another query id, sharing the arrays."""
-        return RankedList.at_positions(query_id, self.index_ids, self.positions, self.scores)
 
     def __len__(self) -> int:
         return len(self.positions)

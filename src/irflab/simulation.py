@@ -16,12 +16,12 @@ embedding model) share two kinds of cached work, both exact:
   - steps (estimates, score arrays, rankings, fusions), keyed on exactly
     the inputs each reads;
   - the evidence those steps read per passage or per pool, under the memo's
-    "evidence" dict: log P(Q|D) per (mu, passage), ERM's translation
-    likelihood prod_q sum_w T(q|w) P_ml(w|D) per (ErmParams, passage), and
-    the relevant pool's centroid per (pool, representation mode). A step
-    that is computed pays only for the passages and pools no earlier step
-    has read. It holds a float per passage read per mu or ErmParams and a
-    vector per distinct pool, and lives as long as the memo.
+    "evidence" dict: ERM's translation likelihood prod_q sum_w T(q|w)
+    P_ml(w|D) per (ErmParams, passage), and the relevant pool's centroid
+    per (pool, representation mode). A step that is computed pays only for
+    the passages and pools no earlier step has read. It holds a float per
+    passage read per ErmParams and a vector per distinct pool, and lives as
+    long as the memo.
 
 Every cache is one owner's memo, filled through ``irflab.index.memo``: a
 session memo lives as long as its caller keeps it, the index's
@@ -115,12 +115,11 @@ class FrozenRanking:
 
 def freeze_ranking(frozen: FrozenRanking) -> tuple[str, ...]:
     """The evaluated list: shown blocks at their presentation ranks, then the
-    re-ranked tail over everything unshown. The tail keeps no ids of its
-    own for it: a caller that holds the list holds them once."""
+    re-ranked tail over everything unshown."""
     out: list[str] = []
     for block in frozen.shown_blocks:
         out.extend(block)
-    out.extend(frozen.tail.head(len(frozen.tail)))
+    out.extend(frozen.tail.ids())
     return tuple(out)
 
 
@@ -161,8 +160,8 @@ class _SessionModel:
     ``MappingProxyType``s). The keys leave out what the memo's scope holds
     fixed: the query, the collection, the index and the embedding model.
 
-    Estimators and fusion also get ``evidence``, the memo's cache of
-    per-passage and per-pool work (see the module docstring).
+    ERM and fusion also get ``evidence``, the memo's cache of per-passage
+    and per-pool work (see the module docstring).
 
     Only the rows a session reads are ranked: a ranking for a shown block
     that is not fused (no fusion config, or an empty relevant pool) is taken
@@ -201,7 +200,7 @@ class _SessionModel:
             compute = lambda: rocchio_update(tfidf, passages(rel), passages(nonrel), ctx.index, fb)
         elif method == "rm3":
             key = ("rm3", rel, fb, mu)
-            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu, cache=self.evidence)
+            compute = lambda: estimate_rm3(self.query, passages(rel), ctx.index, fb, mu=mu)
         elif method == "distillation":
             key = ("distillation", rel, nonrel, fb)
             compute = lambda: estimate_distillation(
@@ -348,11 +347,8 @@ def run_one_rel_experiment(
         topic_id = f"{query.query_id}.d{draw}"
         state = update_pools(FeedbackState(), [(fed, True)])
         ranked = model.rank(state, _depth(depth, state), fusion)
-        out.append(OneRelDraw(
-            topic_id=topic_id,
-            fed_passage=fed,
-            ranking=ranked.relabel(topic_id),
-        ))
+        ranking = RankedList.at_positions(topic_id, ranked.index_ids, ranked.positions, ranked.scores)
+        out.append(OneRelDraw(topic_id=topic_id, fed_passage=fed, ranking=ranking))
     return out
 
 

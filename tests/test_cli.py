@@ -107,6 +107,28 @@ class TestFlagDefaults:
         assert inspect.signature(significance_between).parameters["permutations"].default == DEFAULT_PERMUTATIONS
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv, problem", [
+        (["gen-synth", "--queries", "0"], "all generator counts must be >= 1"),
+        (["gen-synth", "--concentration", "0"], "topic_concentration must be in (0, 1]"),
+        (["train-embeddings", "--dim", "0"], "dim, negatives, batch_size, window, epochs must be >= 1"),
+        (["train-embeddings", "--corruption-q", "1.5"], "corruption_q must be in [0, 1)"),
+        (["eval", "--metrics", " , "], "--metrics names no metric"),
+    ], ids=["queries", "concentration", "dim", "corruption-q", "metrics"])
+    def test_out_of_range_flag_exits_2_before_any_output(self, synth_dir, tmp_path, capsys, argv, problem):
+        run = tmp_path / "a.run"
+        run.write_text("q000 Q0 p1 1 1.0 t\n")
+        out = tmp_path / "out"
+        where = {"gen-synth": ["--output-dir", str(out)],
+                 "train-embeddings": ["--corpus", str(synth_dir / "corpus.jsonl"), "--mode", "pvc",
+                                      "--out", str(out), "--epochs", "1"],
+                 "eval": ["--run", str(run), "--qrels", str(synth_dir / "qrels.txt")]}[argv[0]]
+        assert run_cli(*argv, *where) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and problem in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestRunIrf:
     def test_query_with_no_token_in_the_collection_is_dropped(self, tmp_path, caplog):
         # rm3 used to rank q2 on all-zero scores, then rocchio refused it and the run exited 1

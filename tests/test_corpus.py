@@ -392,3 +392,12 @@ class TestQueries:
         path.write_text("q1 hello world\n")
         with pytest.raises(ValueError):
             load_queries(path, plain_config)
+
+    @pytest.mark.parametrize("qid", ["q 000", "", " q0", "q0\x0b"])
+    def test_query_id_empty_or_with_whitespace_names_path_and_line(self, tmp_path, plain_config, qid):
+        # such an id would be written into a run file that eval then refuses
+        path = tmp_path / "queries.tsv"
+        path.write_text(f"q1\thello world\n{qid}\tanother one\n")
+        with pytest.raises(ValueError) as exc:
+            load_queries(path, plain_config)
+        assert str(exc.value) == f"{path}: line 2: query id {qid!r} must be non-empty and whitespace-free"

@@ -1,12 +1,12 @@
 """Cached per-passage and per-pool evidence against the uncached originals.
 
 The estimators and fused_rank read term counts and tf-idf rows kept by the
-index, and log P(Q|D), ERM translation likelihoods and pool centroids kept
-in a caller's cache. The oracles below are the functions as they were
-before any of that was cached: every quantity recomputed on every call.
-With the caches warm (several pools sharing passages, several mu values,
-several ErmParams) each result must be the oracle's, float for float and in
-the same order.
+index, and ERM translation likelihoods and pool centroids kept in a
+caller's cache. The oracles below are the functions as they were before any
+of that was cached: every quantity recomputed on every call. With the
+caches warm (several pools sharing passages, several mu values, several
+ErmParams) each result must be the oracle's, float for float and in the
+same order.
 """
 
 import numpy as np
@@ -34,6 +34,7 @@ from irflab.index import build_index, collection_prob, query_tfidf, tfidf_vector
 from irflab.retrieval import RankedList, RetrievalParams, rank_ql
 
 from conftest import make_query, shuffled_collection
+from test_feedback import reference_mixture_em
 
 
 # --- oracles: the uncached functions -----------------------------------------
@@ -50,33 +51,6 @@ def oracle_rm3(query, rel_pool, index, params, mu):
     weights /= weights.sum()
     relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
     return _interpolate(query_mle(query), relevance_model, params.alpha_interp)
-
-
-def oracle_mixture_em(counts, p_corpus, theta_nr, lambda_mix, lambda_nr, max_iters, tol):
-    terms = sorted(counts)
-    c = np.array([counts[t] for t in terms], dtype=np.float64)
-    pc = np.array([p_corpus.get(t, 0.0) for t in terms])
-    pn = np.array([theta_nr.get(t, 0.0) for t in terms])
-    f = 1.0 - lambda_mix - lambda_nr
-    corpus_part = lambda_mix * pc
-    nr_part = lambda_nr * pn
-    theta = np.full(len(terms), 1.0 / len(terms))
-    prev_ll = None
-    for _ in range(max_iters):
-        topic_part = f * theta
-        mix = topic_part + corpus_part
-        mix += nr_part
-        ll = float((c * np.log(mix)).sum())
-        if prev_ll is not None:
-            if not ll - prev_ll >= -1e-9:
-                raise RuntimeError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
-            if ll - prev_ll < tol:
-                break
-        prev_ll = ll
-        topic_part /= mix
-        theta = c * topic_part
-        theta /= theta.sum()
-    return dict(zip(terms, theta.tolist()))
 
 
 def oracle_distillation(query, rel_pool, nr_pool, index, params):
@@ -99,8 +73,8 @@ def oracle_distillation(query, rel_pool, nr_pool, index, params):
         else:
             lambda_nr = 0.0
     p_corpus = {t: collection_prob(index, t) for t in counts}
-    theta = oracle_mixture_em(counts, p_corpus, theta_nr, params.lambda_mix, lambda_nr,
-                              params.em_max_iters, params.em_tol)
+    theta = reference_mixture_em(counts, p_corpus, theta_nr, params.lambda_mix, lambda_nr,
+                                 params.em_max_iters, params.em_tol)
     return _interpolate(query_mle(query), _truncate_top_m(theta, params.m), params.alpha_interp)
 
 
@@ -238,7 +212,7 @@ class TestEstimatorsWithWarmCaches:
             for rel, nonrel, mu in calls:
                 for q in queries:
                     cache = caches[q.tokens]
-                    assert exact(estimate_rm3(q, rel, idx, params, mu=mu, cache=cache)) == exact(
+                    assert exact(estimate_rm3(q, rel, idx, params, mu=mu)) == exact(
                         oracle_rm3(q, rel, idx, params, mu))
                     for erm in erms:
                         assert exact(estimate_erm(q, rel, idx, embeddings, params, erm, mu=mu, cache=cache)) == \

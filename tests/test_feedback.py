@@ -516,7 +516,7 @@ class TestEstimatorOutputs:
         coll, query, rel, nonrel, params, erm, embeddings, mu = case
         idx = build_index(coll)
         cache = {}
-        check_query_model(estimate_rm3(query, rel, idx, params, mu=mu, cache=cache))
+        check_query_model(estimate_rm3(query, rel, idx, params, mu=mu))
         check_query_model(estimate_erm(query, rel, idx, embeddings, params, erm, mu=mu, cache=cache))
         check_query_model(estimate_distillation(query, rel, nonrel, idx, params))
         # rocchio's output is a tf-idf vector, not a distribution: only its sign is bound

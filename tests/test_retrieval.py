@@ -1,5 +1,6 @@
 """QL / BM25 / Rocchio scoring against brute-force oracles."""
 
+import copy
 import json
 import math
 import pickle
@@ -434,11 +435,10 @@ class TestPositionLists:
         for name in ("positions", "scores", "query_id", "entries"):
             with pytest.raises(AttributeError):
                 setattr(ranked, name, None)
-        # entries is built on each read and not kept; ids() is kept
+        # entries and ids() are built on each read and not kept
         for _ in range(2):
             assert ranked.entries == tuple(zip(ranked.ids(), ranked.scores.tolist()))
-        assert "_entries" not in RankedList.__slots__ and not hasattr(ranked, "_entries")
-        assert ranked.ids() is ranked.ids()
+        assert RankedList.__slots__ == ("query_id", "positions", "scores", "index_ids")
 
     def test_constructors_agree_by_entries(self):
         coll = make_collection([["a", "b"], ["b"], ["a", "a"], ["c"]])
@@ -458,13 +458,14 @@ class TestPositionLists:
         assert built.positions.tolist() == list(range(len(built)))
         assert not built.positions.flags.writeable and not built.scores.flags.writeable
         assert built.head(2) == ranked.head(2) and len(built) == len(ranked)
-        moved = ranked.relabel("q0.d3")
+        moved = RankedList.at_positions("q0.d3", ranked.index_ids, ranked.positions, ranked.scores)
         assert ranking_of(moved) == ("q0.d3", ranked.entries)
         assert moved.positions is ranked.positions and moved.index_ids is idx.ids
-        assert ranking_of(built.relabel("q0.d3")) == ranking_of(moved)
+        # a pickle would carry the whole ids tuple: a list is not rebuilt elsewhere
         for original in (ranked, built):
-            copy = pickle.loads(pickle.dumps(original))
-            assert ranking_of(copy) == ranking_of(original)
+            for rebuild in (lambda: pickle.loads(pickle.dumps(original)), lambda: copy.copy(original)):
+                with pytest.raises(AttributeError, match="read-only"):
+                    rebuild()
 
 
 @st.composite
