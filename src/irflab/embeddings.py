@@ -25,7 +25,8 @@ vocabulary and its frequencies come from build_index.
 Model files are version-tagged little-endian snapshots; a truncated file,
 one with trailing bytes, or one whose passage ids are not one distinct id
 per row is rejected with ValueError (and not written). ``load_model``
-interns terms and ids; passages map to rows per index (``_row_map``).
+interns terms and ids. ``passage_vector`` defines each passage
+representation; ``EmbeddingModel.vectors_at`` reads any mode's rows, per index.
 """
 
 from __future__ import annotations
@@ -108,7 +109,31 @@ class EmbeddingModel:
         norms[norms == 0.0] = 1.0
         return self.word_vectors / norms
 
-    def vectors_at(self, index: Index, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def vectors_at(self, mode: str, collection: PassageCollection, index: Index,
+                   positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mode's vectors of these index positions and their norms. pv/pvc
+        read the trained rows (``_trained_at``); avg_w2v/idf_w2v one n x dim matrix
+        per (mode, index) in the memo, built on first use from ``passage_vector``."""
+        if mode in ("pv", "pvc"):
+            return self._trained_at(index, positions)
+        vectors, norms = self.cached((mode, index), lambda: self._aggregated(mode, collection, index))
+        return vectors[positions], norms[positions]
+
+    def _aggregated(self, mode: str, collection: PassageCollection, index: Index) -> tuple[np.ndarray, np.ndarray]:
+        """Each position's passage_vector (a zero row, logged once, if unrepresentable) and norm."""
+        ids = index.ids
+        vectors = np.zeros((len(ids), self.dim))
+        for i, pid in enumerate(ids):
+            try:
+                vectors[i] = passage_vector(collection[pid], self, mode, index)
+            except UnrepresentablePassage:
+                logger.warning("passage %r not representable in mode %s; using zero vector", pid, mode)
+        norms = np.linalg.norm(vectors, axis=1)
+        vectors.setflags(write=False)
+        norms.setflags(write=False)
+        return vectors, norms
+
+    def _trained_at(self, index: Index, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The trained vectors of these index positions and their norms, read
         through the row map for the index, kept in the memo. A passage without
         one has norm 0, so only then is it looked for, and it raises ValueError."""
@@ -429,7 +454,7 @@ def passage_vector(passage: Passage, model: EmbeddingModel, mode: str, index: In
     if mode not in REPRESENTATION_MODES:
         raise ValueError(f"unknown representation mode {mode!r}")
     if mode in ("pv", "pvc"):
-        return model.vectors_at(index, np.array([index.position(passage.passage_id)]))[0][0]
+        return model._trained_at(index, np.array([index.position(passage.passage_id)]))[0][0]
     rows = [model.vocab[t] for t in passage.tokens if t in model.vocab]
     if not rows:
         raise UnrepresentablePassage(f"passage {passage.passage_id!r} has no in-vocabulary tokens")

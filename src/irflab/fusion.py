@@ -11,12 +11,9 @@ scale differences between feedback methods.
 fused_rank works on index positions. It reads the base list's positions
 and scores as arrays (the base list must be a ranking of the same index) and
 returns positions and fused scores, ordered by one lexsort; passage ids are
-not looked up. One gather, ``_gather``, reads the vectors and norms of
-the pool and of the candidates. For pv/pvc it reads them by fancy indexing
-into the trained passage vectors and their norms, through the model's row
-map from index position to model row (``EmbeddingModel.vectors_at``): built
-once per (model, index) from the index's id map, 16 bytes per indexed
-passage. avg_w2v/idf_w2v vectors and norms are computed per call.
+not looked up. Every mode's vectors and norms, the pool's and the
+candidates', come from ``EmbeddingModel.vectors_at``: the trained pv/pvc
+rows, or an avg_w2v/idf_w2v matrix built once per (model, mode, index).
 
 The pool side of a call, the centroid of the relevant pool's vectors
 (summed row by row in pool order) and its norm, depends only on the pool
@@ -30,18 +27,15 @@ candidates' rows.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Passage, PassageCollection
-from .embeddings import EmbeddingModel, REPRESENTATION_MODES, UnrepresentablePassage, passage_vector
+from .corpus import PassageCollection
+from .embeddings import EmbeddingModel, REPRESENTATION_MODES
 from .feedback import FeedbackState
 from .index import Index, memo
 from .retrieval import RankedList
-
-logger = logging.getLogger(__name__)
 
 LAMBDA_SF_GRID_WIDE = tuple(float(x) for x in range(5, 45, 5))  # 5 .. 40
 
@@ -58,28 +52,6 @@ class FusionConfig:
             raise ValueError(f"unknown representation mode {self.representation_mode!r}")
 
 
-def _vector_or_zero(passage: Passage, model: EmbeddingModel, mode: str, index: Index) -> np.ndarray:
-    try:
-        return passage_vector(passage, model, mode, index)
-    except UnrepresentablePassage:
-        logger.warning("passage %r not representable in mode %s; using zero vector", passage.passage_id, mode)
-        return np.zeros(model.dim)
-
-
-def _gather(positions: np.ndarray, model: EmbeddingModel, mode: str, collection: PassageCollection,
-            index: Index) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors of these index positions, one row each, and their norms.
-    pv/pvc rows are the trained passage vectors (``vectors_at``);
-    avg_w2v/idf_w2v vectors are computed per passage (an unrepresentable
-    one is a zero vector)."""
-    if mode in ("pv", "pvc"):
-        return model.vectors_at(index, positions)
-    ids = index.ids
-    vectors = (np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in positions.tolist()])
-               if len(positions) else np.zeros((0, model.dim)))
-    return vectors, np.linalg.norm(vectors, axis=1)
-
-
 def _pool_centroid(pool: tuple[str, ...], model: EmbeddingModel, mode: str, collection: PassageCollection,
                    index: Index) -> tuple[np.ndarray, float]:
     """The centroid of the pool's vectors, summed row by row in pool order as
@@ -87,7 +59,7 @@ def _pool_centroid(pool: tuple[str, ...], model: EmbeddingModel, mode: str, coll
     missing = [pid for pid in pool if pid not in index.id_to_pos]
     if missing:
         raise ValueError(f"relevant-pool passage {missing[0]!r} is not in the index")
-    vectors, _ = _gather(np.array([index.id_to_pos[pid] for pid in pool]), model, mode, collection, index)
+    vectors, _ = model.vectors_at(mode, collection, index, np.array([index.id_to_pos[pid] for pid in pool]))
     centroid = np.zeros(model.dim)
     for vec in vectors:
         centroid += vec
@@ -126,7 +98,7 @@ def fused_rank(
     centroid, cnorm = memo({} if cache is None else cache, ("centroid", state.relevant_pool, mode),
                            lambda: _pool_centroid(state.relevant_pool, model, mode, collection, index))
     cand = base.positions
-    vectors, norms = _gather(cand, model, mode, collection, index)
+    vectors, norms = model.vectors_at(mode, collection, index, cand)
     ok = norms > 0.0
     if cnorm > 0.0 and ok.all():  # no mask copy: the product runs over the same rows either way
         sims = vectors @ centroid / (norms * cnorm)

@@ -27,8 +27,8 @@ Every cache is one owner's memo, filled through ``irflab.index.memo``: a
 session memo lives as long as its caller keeps it, the index's
 (``Index.cached``: term counts, tf-idf rows, query likelihood's logs) as
 long as the index, the embedding model's (``EmbeddingModel.cached``: ERM's
-translation tables, unit word vectors, fusion's row map) as long as the
-model.
+translation tables, unit word vectors, and per index the pv/pvc row map and
+each avg_w2v/idf_w2v matrix fusion reads) as long as the model.
 """
 
 from __future__ import annotations

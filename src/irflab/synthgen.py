@@ -42,15 +42,13 @@ class GeneratorConfig:
         lo, hi = self.passage_length_range
         if lo < 1 or hi < lo:
             raise ValueError("invalid passage_length_range")
+        if self.vocab_size // self.num_queries < MIN_TOPIC_TERMS:
+            raise ValueError(f"vocabulary of {self.vocab_size} too small for {self.num_queries} "
+                             f"topics of at least {MIN_TOPIC_TERMS} terms")
 
 
 def generate(config: GeneratorConfig) -> tuple[PassageCollection, list[Query], Judgments]:
     slice_size = config.vocab_size // config.num_queries
-    if slice_size < MIN_TOPIC_TERMS:
-        raise ValueError(
-            f"vocabulary of {config.vocab_size} too small for {config.num_queries} "
-            f"topics of at least {MIN_TOPIC_TERMS} terms"
-        )
     rng = np.random.default_rng(config.seed)
     vocab = np.array([f"w{i:04d}" for i in range(config.vocab_size)])
     # permuting the power-law decouples background frequency from the

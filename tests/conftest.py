@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from irflab.corpus import Passage, PassageCollection, Query, TokenizerConfig
+from irflab.embeddings import UnrepresentablePassage, passage_vector
 from irflab.index import build_index
 from irflab.retrieval import RankedList
 
@@ -60,6 +61,42 @@ def ranked_over(index, entries, query_id="q0"):
     positions = np.array([index.id_to_pos[pid] for pid, _ in entries], dtype=np.int64)
     scores = np.array([score for _, score in entries], dtype=np.float64)
     return RankedList.at_positions(query_id, index.ids, positions, scores)
+
+
+def vector_or_zero(passage, model, mode, index):
+    """passage_vector, or a zero vector where the passage is unrepresentable."""
+    try:
+        return passage_vector(passage, model, mode, index)
+    except UnrepresentablePassage:
+        return np.zeros(model.dim)
+
+
+def oracle_fused_rank(base, state, model, cfg, collection, index):
+    """fused_rank recomputed passage by passage, by id: every vector from
+    ``vector_or_zero``, the pool's centroid summed in pool order, the
+    candidates' norms taken per call, and the candidates sorted by (-fused
+    score, passage id). Returns the base list itself for an empty pool, and
+    otherwise the list ``ranked_over`` builds from the sorted entries."""
+    if not state.relevant_pool:
+        return base
+    mode = cfg.representation_mode
+    centroid = np.zeros(model.dim)
+    for pid in state.relevant_pool:
+        centroid += vector_or_zero(collection[pid], model, mode, index)
+    centroid /= len(state.relevant_pool)
+    cnorm = np.linalg.norm(centroid)
+    pids = [pid for pid, _ in base.entries]
+    vectors = np.zeros((len(pids), model.dim))
+    for i, pid in enumerate(pids):
+        vectors[i] = vector_or_zero(collection[pid], model, mode, index)
+    norms = np.linalg.norm(vectors, axis=1)
+    sims = np.zeros(len(pids))
+    if cnorm > 0.0:
+        ok = norms > 0.0
+        sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
+    fused = np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims
+    order = sorted(range(len(pids)), key=lambda i: (-fused[i], pids[i]))
+    return ranked_over(index, [(pids[i], fused[i]) for i in order], base.query_id)
 
 
 def ranking_of(ranked):

@@ -161,7 +161,6 @@ def test_c4_reduction_identities(rng):
         pvmodel = toy_embeddings(rng.normal(size=(6, 4)), terms=[f"t{i}" for i in range(6)])
         pvmodel.passage_vectors = vecs
         pvmodel.passage_ids = coll.ids
-        pvmodel._pid_to_row = {pid: i for i, pid in enumerate(coll.ids)}
         state = update_pools(FeedbackState(), [(base_ids[0], True)])
         fused = fused_rank(base, state, pvmodel, FusionConfig(lambda_sf=0.0, representation_mode="pv"), coll, idx)
         fused_identity &= fused.ids() == base.ids()

@@ -111,10 +111,11 @@ class TestFlagValues:
     @pytest.mark.parametrize("argv, problem", [
         (["gen-synth", "--queries", "0"], "all generator counts must be >= 1"),
         (["gen-synth", "--concentration", "0"], "topic_concentration must be in (0, 1]"),
+        (["gen-synth", "--queries", "50", "--vocab", "24"], "vocabulary of 24 too small for 50 topics"),
         (["train-embeddings", "--dim", "0"], "dim, negatives, batch_size, window, epochs must be >= 1"),
         (["train-embeddings", "--corruption-q", "1.5"], "corruption_q must be in [0, 1)"),
         (["eval", "--metrics", " , "], "--metrics names no metric"),
-    ], ids=["queries", "concentration", "dim", "corruption-q", "metrics"])
+    ], ids=["queries", "concentration", "vocab", "dim", "corruption-q", "metrics"])
     def test_out_of_range_flag_exits_2_before_any_output(self, synth_dir, tmp_path, capsys, argv, problem):
         run = tmp_path / "a.run"
         run.write_text("q000 Q0 p1 1 1.0 t\n")

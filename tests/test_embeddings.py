@@ -31,7 +31,7 @@ from irflab.embeddings import (
 )
 from irflab.index import build_index
 
-from conftest import make_collection
+from conftest import make_collection, shuffled_collection, vector_or_zero
 
 
 def finite_difference(f, x, h=1e-6):
@@ -356,6 +356,80 @@ class TestPassageVector:
         for mode in ("pv", "pvc"):
             for row, i in enumerate(order):
                 assert passage_vector(coll[coll.ids[i]], model, mode, idx).tolist() == vectors[row].tolist()
+
+
+@st.composite
+def represented_cases(draw):
+    """A collection with shuffled ids, some passages empty or holding only
+    the out-of-vocabulary "zz", and with "a" in every passage when
+    ``everywhere`` is drawn (its idf is then 0, so a passage holding only
+    "a" has no idf_w2v weight); a model over "abcd" with small integer word
+    vectors (zero rows occur) and passage vectors in shuffled row order; a
+    mode; and a draw of index positions, repeats allowed."""
+    lists = draw(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=6),
+                          min_size=1, max_size=20))
+    if draw(st.booleans()):
+        lists = [tokens + ["a"] for tokens in lists]
+    coll = shuffled_collection(lists, draw(st.permutations(range(len(lists)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = EmbeddingModel(vocab={t: i for i, t in enumerate("abcd")},
+                           word_vectors=rng.integers(-1, 2, size=(4, 3)).astype(float),
+                           context_vectors=np.zeros((4, 3)), dim=3,
+                           passage_vectors=rng.integers(-1, 2, size=(len(coll), 3)).astype(float),
+                           passage_ids=tuple(rng.permutation(coll.ids)))
+    positions = np.array(draw(st.lists(st.integers(0, len(coll) - 1), min_size=1, max_size=30)), dtype=np.int64)
+    return coll, model, draw(st.sampled_from(["avg_w2v", "idf_w2v", "pv", "pvc"])), positions
+
+
+class TestVectorsAt:
+    """vectors_at, every mode's one read path, against passage_vector."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(represented_cases())
+    def test_rows_and_norms_equal_a_per_passage_stack(self, case):
+        coll, model, mode, positions = case
+        idx = build_index(coll)
+        for draw in (positions, np.arange(len(coll)), positions):  # the last reads the kept rows
+            stack = np.stack([vector_or_zero(coll[idx.ids[i]], model, mode, idx) for i in draw.tolist()])
+            vectors, norms = model.vectors_at(mode, coll, idx, draw)
+            assert vectors.tobytes() == stack.tobytes()
+            assert norms.tobytes() == np.linalg.norm(stack, axis=1).tobytes()
+
+    def _model(self):
+        return EmbeddingModel(vocab={"a": 0, "b": 1}, word_vectors=np.array([[1.0, 2.0], [3.0, -1.0]]),
+                              context_vectors=np.zeros((2, 2)), dim=2)
+
+    def test_passage_without_an_in_vocabulary_token_is_a_zero_row(self):
+        coll = make_collection([["a", "b"], ["zz"], []])
+        idx = build_index(coll)
+        for mode in ("avg_w2v", "idf_w2v"):
+            vectors, norms = self._model().vectors_at(mode, coll, idx, np.array([1, 2, 0]))
+            assert vectors[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]] and norms[:2].tolist() == [0.0, 0.0]
+            assert norms[2] > 0.0
+
+    def test_idf_passage_of_terms_in_every_passage_is_a_zero_row(self, caplog):
+        coll = make_collection([["a", "b"], ["a"], ["a", "a"]])
+        idx = build_index(coll)
+        with caplog.at_level("WARNING"):
+            vectors, norms = self._model().vectors_at("idf_w2v", coll, idx, np.arange(3))
+        assert vectors[1:].tolist() == [[0.0, 0.0], [0.0, 0.0]] and norms[1:].tolist() == [0.0, 0.0]
+        assert vectors[0].tolist() == [3.0, -1.0]  # "a" has weight 0, "b" all of it
+        assert not caplog.records  # representable, only weightless: not warned about
+        avg, _ = self._model().vectors_at("avg_w2v", coll, idx, np.arange(3))
+        assert avg[1].tolist() == [1.0, 2.0]
+
+    def test_passage_missing_from_a_pv_model_raises(self):
+        coll = make_collection([["a"], ["b"], ["a", "b"]])
+        idx = build_index(coll)
+        model = EmbeddingModel(vocab={"a": 0}, word_vectors=np.ones((1, 2)), context_vectors=np.ones((1, 2)),
+                               dim=2, passage_vectors=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                               passage_ids=("p002", "p000"))
+        for mode in ("pv", "pvc"):
+            assert model.vectors_at(mode, coll, idx, np.array([2, 0]))[1].tolist() == [1.0, 0.0]
+            with pytest.raises(ValueError, match="'p001' was not in the training corpus"):
+                model.vectors_at(mode, coll, idx, np.array([0, 1]))
+        with pytest.raises(ValueError, match="no trained passage vectors"):
+            self._model().vectors_at("pv", coll, idx, np.array([0]))
 
 
 class TestCosine:

@@ -2,8 +2,9 @@
 
 The estimators and fused_rank read term counts and tf-idf rows kept by the
 index, and ERM translation likelihoods and pool centroids kept in a
-caller's cache. The oracles below are the functions as they were before any
-of that was cached: every quantity recomputed on every call. With the
+caller's cache. The oracles below, and conftest's ``oracle_fused_rank``,
+are the functions as they were before any of that was cached: every
+quantity recomputed on every call. With the
 caches warm (several pools sharing passages, several mu values, several
 ErmParams) each result must be the oracle's, float for float and in the
 same order.
@@ -29,11 +30,11 @@ from irflab.feedback import (
     rocchio_update,
     update_pools,
 )
-from irflab.fusion import FusionConfig, _vector_or_zero, fused_rank
+from irflab.fusion import FusionConfig, fused_rank
 from irflab.index import build_index, collection_prob, query_tfidf, tfidf_vector
-from irflab.retrieval import RankedList, RetrievalParams, rank_ql
+from irflab.retrieval import RetrievalParams, rank_ql
 
-from conftest import make_query, shuffled_collection
+from conftest import make_query, oracle_fused_rank, shuffled_collection
 from test_feedback import reference_mixture_em
 
 
@@ -114,37 +115,6 @@ def oracle_erm(query, rel_pool, index, embeddings, params, erm, mu):
     weights = np.full(len(rel_pool), 1.0 / len(rel_pool)) if total <= 0.0 else weights / total
     relevance_model = _truncate_top_m(_pool_weighted_model(pool, weights), params.m)
     return _interpolate(query_mle(query), relevance_model, params.alpha_interp)
-
-
-def oracle_fused_rank(base, state, model, cfg, collection, index):
-    if not state.relevant_pool:
-        return base
-    pool_size = len(state.relevant_pool)
-    cand = base.positions
-    positions = np.concatenate(([index.id_to_pos[pid] for pid in state.relevant_pool], cand))
-    mode = cfg.representation_mode
-    if mode in ("pv", "pvc"):
-        rows, row_norms = model._row_map(index)
-        rows = rows[positions]
-        vectors = model.passage_vectors[rows]
-        norms = row_norms[cand]
-    else:
-        ids = index.ids
-        vectors = np.stack([_vector_or_zero(collection[ids[i]], model, mode, index) for i in positions.tolist()])
-        norms = np.linalg.norm(vectors[pool_size:], axis=1)
-    centroid = np.zeros(model.dim)
-    for vec in vectors[:pool_size]:
-        centroid += vec
-    centroid /= pool_size
-    vectors = vectors[pool_size:]
-    cnorm = np.linalg.norm(centroid)
-    sims = np.zeros(len(cand))
-    if cnorm > 0.0:
-        ok = norms > 0.0
-        sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
-    fused = base.scores + cfg.lambda_sf * sims
-    order = np.lexsort((index.tie_rank[cand], -fused))
-    return RankedList.at_positions(base.query_id, index.ids, cand[order], fused[order])
 
 
 def exact(model):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from irflab.corpus import PassageCollection
 from irflab.embeddings import EmbeddingModel, UnrepresentablePassage, cosine, passage_vector
 from irflab.feedback import FeedbackState, query_mle, update_pools
-from irflab.fusion import FusionConfig, _vector_or_zero, fused_rank
+from irflab.fusion import FusionConfig, fused_rank
 from irflab.index import build_index
 from irflab.retrieval import RankedList, RetrievalParams, rank_bm25, rank_ql
 
-from conftest import make_collection, make_query, random_token_lists, ranked_over, shuffled_collection
+from conftest import (make_collection, make_query, oracle_fused_rank, random_token_lists, ranked_over,
+                      shuffled_collection, vector_or_zero)
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +26,7 @@ def pool_centroid(rel_pool, model, mode, index):
         raise ValueError("relevant pool is empty")
     total = np.zeros(model.dim)
     for passage in rel_pool:
-        total += _vector_or_zero(passage, model, mode, index)
+        total += vector_or_zero(passage, model, mode, index)
     return total / len(rel_pool)
 
 
@@ -39,38 +40,6 @@ def semantic_score(rel_pool, candidate, model, mode, index):
         logger.warning("candidate %r not representable; semantic score 0", candidate.passage_id)
         return 0.0
     return cosine(centroid, vec)
-
-
-def reference_fused_rank(base, state, model, cfg, collection, index):
-    """Oracle: fused_rank over (passage_id, score) entries, as it was before
-    lists kept index positions. It looks every id up in id_to_pos, rebuilds
-    the score array from the entries and builds a new entries tuple."""
-    if not state.relevant_pool:
-        return base.entries
-    pool_size = len(state.relevant_pool)
-    pids = base.ids()
-    positions = [index.id_to_pos[pid] for pid in state.relevant_pool + pids]
-    mode = cfg.representation_mode
-    if mode in ("pv", "pvc"):
-        row_of = {pid: row for row, pid in enumerate(model.passage_ids)}
-        vectors = model.passage_vectors[[row_of[index.ids[i]] for i in positions]]
-    else:
-        vectors = np.stack([_vector_or_zero(collection[index.ids[i]], model, mode, index) for i in positions])
-    centroid = np.zeros(model.dim)
-    for vec in vectors[:pool_size]:
-        centroid += vec
-    centroid /= pool_size
-    vectors = vectors[pool_size:]
-    norms = np.linalg.norm(vectors, axis=1)
-    cnorm = np.linalg.norm(centroid)
-    sims = np.zeros(len(pids))
-    if cnorm > 0.0:
-        ok = norms > 0.0
-        sims[ok] = vectors[ok] @ centroid / (norms[ok] * cnorm)
-    fused = np.array([score for _, score in base.entries]) + cfg.lambda_sf * sims
-    order = np.lexsort((index.tie_rank[positions[pool_size:]], -fused)).tolist()
-    scores = fused.tolist()
-    return tuple([(pids[i], scores[i]) for i in order])
 
 
 def model_with_passage_vectors(ids, vectors):
@@ -241,17 +210,26 @@ class TestFusedRankModes:
                 scores = [score for _, score in out.entries]
                 assert scores == sorted(scores, reverse=True)
 
-    def test_unrepresentable_candidate_warns_on_every_call(self, caplog):
+    def test_unrepresentable_passage_warns_once_per_matrix(self, caplog):
         coll, idx, model, base = self._setup()
         state = update_pools(FeedbackState(), [("p000", True)])
+        short = ranked_over(idx, (("p001", 2.0), ("p003", 1.5)))  # without p002 among the candidates
         with caplog.at_level("WARNING"):
-            for _ in range(3):
-                fused_rank(base, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
-            assert sum("'p002'" in r.getMessage() for r in caplog.records) == 3
+            for mode in ("avg_w2v", "idf_w2v"):
+                for _ in range(2):
+                    fused_rank(base, state, model, FusionConfig(representation_mode=mode), coll, idx)
+                    fused_rank(short, state, model, FusionConfig(representation_mode=mode), coll, idx)
+                assert [r.getMessage() for r in caplog.records] == [
+                    f"passage 'p002' not representable in mode {mode}; using zero vector"]
+                caplog.clear()
+            # the matrix is built on first use, over every passage: here for a call that never ranks p002
+            fresh = EmbeddingModel(vocab=model.vocab, word_vectors=model.word_vectors,
+                                   context_vectors=model.context_vectors, dim=model.dim)
+            fused_rank(short, state, fresh, FusionConfig(representation_mode="avg_w2v"), coll, idx)
+            assert ["'p002'" in r.getMessage() for r in caplog.records] == [True]
             caplog.clear()
-            # without p002 among the candidates nothing is computed for it
-            short = ranked_over(idx, (("p001", 2.0), ("p003", 1.5)))
-            fused_rank(short, state, model, FusionConfig(representation_mode="avg_w2v"), coll, idx)
+            for mode in ("pv", "pvc"):
+                fused_rank(base, state, model, FusionConfig(representation_mode=mode), coll, idx)
         assert not caplog.records
 
     @pytest.mark.parametrize("mode", ["pv", "pvc", "avg_w2v", "idf_w2v"])
@@ -317,9 +295,9 @@ class TestPositionLists:
         state = update_pools(FeedbackState(), [(pid, True) for pid in pool])
         cfg = FusionConfig(lambda_sf=lam, representation_mode=mode)
         out = fused_rank(base, state, model, cfg, coll, idx)
-        expected = reference_fused_rank(base, state, model, cfg, coll, idx)
-        assert [(pid, repr(s)) for pid, s in out.entries] == [(pid, repr(s)) for pid, s in expected]
-        assert out.ids() == tuple(pid for pid, _ in expected)
+        expected = oracle_fused_rank(base, state, model, cfg, coll, idx)
+        assert [(pid, repr(s)) for pid, s in out.entries] == [(pid, repr(s)) for pid, s in expected.entries]
+        assert out.positions.tobytes() == expected.positions.tobytes()
         assert out.query_id == base.query_id
 
     def test_list_not_ranked_over_this_index_raises(self):
@@ -352,6 +330,6 @@ class TestPositionLists:
         assert (norms[rows < 0] == 0.0).all() and (rows < 0).sum() == 10
         for _ in range(300):
             draw = rng.choice(np.flatnonzero(rows >= 0), size=int(rng.integers(1, 131)), replace=False)
-            vectors, cached = model.vectors_at(idx, draw)
+            vectors, cached = model.vectors_at(str(rng.choice(["pv", "pvc"])), coll, idx, draw)
             assert vectors.tobytes() == model.passage_vectors[rows[draw]].tobytes()
             assert np.linalg.norm(vectors, axis=1).tobytes() == cached.tobytes() == norms[draw].tobytes()

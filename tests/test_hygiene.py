@@ -2,7 +2,9 @@
 no module imports a name it never uses, no private function or class of
 the package is left without a caller in the package, and no public one is
 left both unexported and unused by the package, the demos and the
-benchmarks (a helper that only tests call belongs in the tests). Every
+benchmarks (a helper that only tests call belongs in the tests). No test
+sets a private attribute (``obj._name = ...``) that nothing in the package
+reads: such a line sets up state the code under test never sees. Every
 irflab name the benchmarks import, read or trace exists, so dropping one
 fails here rather than in a benchmark run."""
 
@@ -96,6 +98,30 @@ def test_every_public_definition_is_exported_or_used():
     assert not unused, f"public definitions no __all__ lists and only tests use: {unused}"
 
 
+def private_assignments(tree: ast.Module):
+    """(attribute, line) of every private attribute the module assigns:
+    ``obj._name = ...``, augmented, annotated or in a tuple target."""
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and sub.attr.startswith("_") and not sub.attr.startswith("__")):
+                    yield sub.attr, sub.lineno
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_test_sets_a_private_attribute_the_package_never_reads():
+    read = set().union(*(attributes_read(parse(path)) for path in PACKAGE.glob("*.py")))
+    dead = [f"{path.name}:{line}: {name}" for path in sorted((ROOT / "tests").glob("*.py"))
+            for name, line in private_assignments(parse(path)) if name not in read]
+    assert not dead, f"tests set private attributes nothing in src/irflab reads: {dead}"
+
+
 def irflab_reads(tree: ast.Module):
     """The dotted irflab path of every name the module imports from irflab,
     and of every attribute it reads off a name such an import bound."""
@@ -161,6 +187,9 @@ def test_the_checks_catch_what_they_are_for():
                        "def h(): ...\ndef k(): ...\n")
     users = [ast.parse("from a import f\nc.m()\n__all__ = ['g']\n"), ast.parse("h()\n")]
     assert unused_public({"a.py": module}, users) == ["a.py: C", "a.py: k"]
+    sets = ast.parse("m._pid_to_row = {}\nm._memo['k'] = 1\nm._n += 1\nm._a, x = 1, 2\nm.public = 3\nm.__d = 4\n")
+    assert sorted(name for name, _ in private_assignments(sets)) == ["_a", "_n", "_pid_to_row"]
+    assert attributes_read(ast.parse("x = m._memo\nm._pid_to_row = 1\n")) == {"_memo"}
     reads = ast.parse("import irflab\nfrom irflab import retrieval as r, nothing_here\n"
                       "from irflab.retrieval import rank_ql\nirflab.gone()\nr.RankedList\nr.dropped\n")
     dotted = list(irflab_reads(reads))

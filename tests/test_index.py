@@ -155,7 +155,7 @@ class TestResidentBytes:
         assert sum(a.nbytes for a in per_posting) / len(idx.row_terms) <= 20
         model = EmbeddingModel(vocab={"w0000": 0}, word_vectors=np.zeros((1, 2)), context_vectors=np.zeros((1, 2)),
                                dim=2, passage_vectors=np.ones((len(coll), 2)), passage_ids=coll.ids)
-        model.vectors_at(idx, np.arange(len(coll)))
+        model.vectors_at("pvc", coll, idx, np.arange(len(coll)))
         id_maps = {id(value) for holder in (coll, idx, model) for value in vars(holder).values()
                    if isinstance(value, dict) and value.keys() == set(coll.ids)}
         assert len(id_maps) == 1
