@@ -128,7 +128,9 @@ class EmbeddingModel:
                 vectors[i] = passage_vector(collection[pid], self, mode, index)
             except UnrepresentablePassage:
                 logger.warning("passage %r not representable in mode %s; using zero vector", pid, mode)
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.zeros(len(ids))
+        for lo in range(0, len(ids), 4096):  # in blocks: no temporary as large as the vectors
+            norms[lo:lo + 4096] = np.linalg.norm(vectors[lo:lo + 4096], axis=1)
         vectors.setflags(write=False)
         norms.setflags(write=False)
         return vectors, norms

@@ -64,7 +64,14 @@ def ranked_over(index, entries, query_id="q0"):
 
 
 def vector_or_zero(passage, model, mode, index):
-    """passage_vector, or a zero vector where the passage is unrepresentable."""
+    """The passage's vector in the mode, by id: pv/pvc read straight from the
+    model's passage_ids and passage_vectors (ValueError if the id was not
+    trained), avg_w2v/idf_w2v from passage_vector, or a zero vector where the
+    passage is unrepresentable."""
+    if mode in ("pv", "pvc"):
+        if passage.passage_id not in model.passage_ids:
+            raise ValueError(f"passage {passage.passage_id!r} was not in the training corpus")
+        return model.passage_vectors[model.passage_ids.index(passage.passage_id)]
     try:
         return passage_vector(passage, model, mode, index)
     except UnrepresentablePassage:

@@ -382,7 +382,8 @@ def represented_cases(draw):
 
 
 class TestVectorsAt:
-    """vectors_at, every mode's one read path, against passage_vector."""
+    """vectors_at, every mode's one read path, against vector_or_zero: pv/pvc
+    rows looked up by id in the model, avg_w2v/idf_w2v from passage_vector."""
 
     @settings(max_examples=300, deadline=None)
     @given(represented_cases())
