@@ -5,8 +5,6 @@ significance of the iterative-versus-batch difference.
 Takes a minute or two of CPU; the corpus is trimmed to keep it quick.
 """
 
-import numpy as np
-
 from irflab import (
     EngineContext,
     FeedbackParams,
@@ -15,14 +13,12 @@ from irflab import (
     RetrievalParams,
     SessionConfig,
     TrainConfig,
-    evaluate_ranking,
     fisher_randomization,
-    freeze_ranking,
     generate,
     train_pv_hdc,
 )
+from irflab.experiments import Engine, score_sessions, sweep
 from irflab.index import build_index
-from irflab.simulation import run_irf_session
 
 coll, queries, qrels = generate(GeneratorConfig(
     num_queries=20, passages_per_query_relevant=10, num_noise_passages=400,
@@ -36,27 +32,18 @@ ctx = EngineContext(
     embeddings=model,
 )
 
+# every session of a query runs before the next query, sharing one memo
+settings = [(10, 1), (5, 2), (2, 5), (1, 10)]
+sessions = [SessionConfig(per_iter=n, iterations=iters, rf_method="rm3") for n, iters in settings]
+sessions.append(SessionConfig(per_iter=5, iterations=2, rf_method="rm3",
+                              fusion=FusionConfig(lambda_sf=2.0, representation_mode="pvc")))
+scores = [score_sessions(results, qrels, ["map100"])["map100"]
+          for results in sweep(Engine(ctx=ctx, queries=queries, qrels=qrels), [(ctx, s) for s in sessions])]
+for (n, iters), result in zip(settings, scores):
+    print(f"rm3 {n:>2}x{iters:<2}  MAP@100 = {result.mean:.4f}")
 
-def per_query_map(scfg):
-    out = {}
-    for q in queries:
-        res = run_irf_session(q, qrels, scfg, ctx)
-        out[q.query_id] = evaluate_ranking(
-            freeze_ranking(res.frozen), qrels.relevant_ids(q.query_id), "map100")
-    return out
-
-
-settings = {(10, 1): None, (5, 2): None, (2, 5): None, (1, 10): None}
-for n, iters in settings:
-    scores = per_query_map(SessionConfig(per_iter=n, iterations=iters, rf_method="rm3"))
-    settings[(n, iters)] = scores
-    print(f"rm3 {n:>2}x{iters:<2}  MAP@100 = {np.mean(list(scores.values())):.4f}")
-
-p = fisher_randomization(settings[(1, 10)], settings[(10, 1)])
+p = fisher_randomization(scores[3].per_query, scores[0].per_query)
 print(f"\n1x10 vs 10x1 randomization p-value: {p:.4f}")
 
-fused = per_query_map(SessionConfig(per_iter=5, iterations=2, rf_method="rm3",
-                                    fusion=FusionConfig(lambda_sf=2.0, representation_mode="pvc")))
-plain = settings[(5, 2)]
-print(f"fused rm3+pvc 5x2 MAP@100 = {np.mean(list(fused.values())):.4f} "
-      f"(plain {np.mean(list(plain.values())):.4f})")
+fused, plain = scores[4], scores[1]
+print(f"fused rm3+pvc 5x2 MAP@100 = {fused.mean:.4f} (plain {plain.mean:.4f})")

@@ -24,7 +24,7 @@ from .experiments import (
     evaluate_run_file,
     format_table,
     irf_experiment,
-    irf_title,
+    irf_metrics,
     onerel_experiment,
     significance_between,
 )
@@ -163,16 +163,12 @@ def _cmd_train_embeddings(args) -> int:
 
 def _cmd_run_irf(args) -> int:
     cfg = _load_config(args)
-    summary = irf_experiment(cfg)
-    columns = list(next(iter(summary.values())))
-    print(format_table(summary, columns, irf_title(cfg)))
+    print(format_table(irf_experiment(cfg), f"mean {irf_metrics(cfg)[0]} of freezing rank lists"))
     return 0
 
 
 def _cmd_run_onerel(args) -> int:
-    summary = onerel_experiment(_load_config(args))
-    columns = list(next(iter(summary.values())))
-    print(format_table(summary, columns, "one-relevant-passage experiment"))
+    print(format_table(onerel_experiment(_load_config(args)), "one-relevant-passage experiment"))
     return 0
 
 

@@ -1,15 +1,14 @@
 """Experiment orchestration shared by the CLI commands.
 
-run-irf: per feedback method and per (per_iter x iterations) setting, drive
-a session for every query, evaluate the freezing ranking, optionally tune
-any configured parameter grids with seeded k-fold cross-validation, and
-emit TREC runs, session traces, per-query CSVs, and a summary table (rows
-are methods, columns are iteration settings). The sweep is query-major:
-each query runs every grid point in turn (no grid is a sweep of one point),
-and those sessions share one memo of session steps, so a ranking, estimate
-or fusion that several points reach with the same inputs is computed once.
-The memo lives for one (setting, query) pair, which keeps its memory to one
-query's steps.
+``sweep`` runs sessions query-major under one memo per query, and
+``score_sessions`` scores their frozen rankings: run-irf, acceptance checks
+C8 and C9 and the full-experiment demo score sessions through these two.
+
+run-irf: per feedback method and per (per_iter x iterations) setting, one
+sweep over every grid point (no grid is a sweep of one point), with any
+configured grids tuned by seeded k-fold cross-validation; it emits TREC
+runs, session traces, per-query CSVs and a summary table (rows are methods,
+columns are settings), and holds one setting's sessions at a time.
 
 run-onerel: per method (including the no-feedback baselines), ten draws per
 query with one fed relevant passage, each (query, draw) pair a topic.
@@ -100,6 +99,8 @@ def load_engine(cfg: dict) -> Engine:
             kept.append(query)
         elif query.tokens:
             logger.warning("query %s: no token occurs in the collection; dropped", query.query_id)
+    if not kept:
+        raise ValueError(f"{corpus_cfg['queries']}: no query has a token in the collection; nothing to evaluate")
     return Engine(ctx=ctx, queries=kept, qrels=qrels)
 
 
@@ -129,11 +130,28 @@ def score_rankings(rankings: Iterable[tuple[str, Sequence[str], AbstractSet[str]
     return {metric: MetricResult.aggregate(per_query) for metric, per_query in per_metric.items()}
 
 
-def _score_sessions(results: Mapping[str, tuple[SessionResult, tuple[str, ...]]],
-                    relevant: Mapping[str, AbstractSet[str]], metrics: Sequence[str]) -> dict[str, MetricResult]:
-    """``score_rankings`` over the frozen rankings of {query id: (session,
-    frozen ranking)}, in its order."""
-    return score_rankings(((qid, ranking, relevant[qid]) for qid, (_, ranking) in results.items()), metrics)
+def sweep(engine: Engine, sessions: Sequence[tuple[EngineContext, SessionConfig]]
+          ) -> list[dict[str, tuple[SessionResult, tuple[str, ...]]]]:
+    """Each (context, session config) for each of the engine's queries, in
+    query order: per session, {query id: (session, frozen ranking)}. The
+    sessions of one query share one memo of session steps, whatever their
+    method or parameters, so a step that several reach with the same inputs
+    is computed once; the memo is dropped before the next query. The
+    contexts share the engine's collection, index and embedding model."""
+    results: list[dict[str, tuple[SessionResult, tuple[str, ...]]]] = [{} for _ in sessions]
+    for query in engine.queries:
+        memo: dict = {}
+        for (ctx, scfg), out in zip(sessions, results):
+            result = run_irf_session(query, engine.qrels, scfg, ctx, memo=memo)
+            out[query.query_id] = result, freeze_ranking(result.frozen)
+    return results
+
+
+def score_sessions(results: Mapping[str, tuple[SessionResult, tuple[str, ...]]], qrels: Judgments,
+                   metrics: Sequence[str]) -> dict[str, MetricResult]:
+    """``score_rankings`` over the frozen rankings of one session's sweep,
+    {query id: (session, frozen ranking)}, in its order."""
+    return score_rankings(((qid, ranking, qrels.relevant_ids(qid)) for qid, (_, ranking) in results.items()), metrics)
 
 
 def _write_per_query_csv(path, per_metric: Mapping[str, MetricResult]) -> None:
@@ -155,7 +173,8 @@ def write_summary_csv(path, rows: Mapping[str, Mapping[str, float]], columns: Se
             writer.writerow([name] + [f"{values[c]:.4f}" if c in values else "" for c in columns])
 
 
-def format_table(rows: Mapping[str, Mapping[str, float]], columns: Sequence[str], title: str) -> str:
+def format_table(rows: Mapping[str, Mapping[str, float]], title: str) -> str:
+    columns = list(next(iter(rows.values())))
     width = max(len(name) for name in rows) + 2
     lines = [title, f"{'':<{width}}" + "".join(f"{c:>12}" for c in columns)]
     for name, values in rows.items():
@@ -169,74 +188,58 @@ def irf_metrics(cfg: dict) -> list[str]:
     return metrics_from_config(cfg, ("map100", "ndcg20"))
 
 
-def irf_title(cfg: dict) -> str:
-    return f"mean {irf_metrics(cfg)[0]} of freezing rank lists"
-
-
 def irf_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     """Run the full iterative-feedback experiment; returns the summary rows
     {method: {column: mean score}} for the objective metric."""
     engine = load_engine(cfg)
+    methods = methods_from_config(cfg)
+    folds = cfg.get("evaluation", {}).get("folds", 5)
+    if folds > len(engine.queries) and any(tuning_grids(cfg, method) for method in methods):
+        raise ConfigError(f"evaluation.folds is {folds}, more than the {len(engine.queries)} queries kept")
     out_dir = Path(cfg.get("output_dir", "irflab-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = methods_from_config(cfg)
     settings = settings_from_config(cfg)
     metrics = irf_metrics(cfg)
     objective = metrics[0]
-    folds = cfg.get("evaluation", {}).get("folds", 5)
     seed = cfg.get("seed", 0)
     depth = cfg.get("session", {}).get("depth")
-    query_ids = [q.query_id for q in engine.queries]
-    relevant = {qid: engine.qrels.relevant_ids(qid) for qid in query_ids}
 
     columns = ["initial"] + [f"{n}x{i}" for n, i in settings]
     summary: dict[str, dict[str, float]] = {}
     for method in methods:
-        initial = score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(), relevant[q.query_id])
-                                  for q in engine.queries), [objective])
+        initial = score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(),
+                                   engine.qrels.relevant_ids(q.query_id)) for q in engine.queries), [objective])
         row: dict[str, float] = {"initial": initial[objective].mean}
         grids = tuning_grids(cfg, method)
         points = grid_points(grids) if grids else [{}]
-        variants = []
-        for point in points:
-            retrieval, feedback, fusion = point_params(cfg, point)
-            variants.append((replace(engine.ctx, retrieval=retrieval, feedback=feedback), fusion))
+        variants = [(replace(engine.ctx, retrieval=retrieval, feedback=feedback), fusion)
+                    for retrieval, feedback, fusion in (point_params(cfg, point) for point in points)]
         for per_iter, iterations in settings:
             tag = f"{method}_{per_iter}x{iterations}"
-            sessions = [(ctx, SessionConfig(per_iter=per_iter, iterations=iterations,
-                                            rf_method=method, fusion=fusion, depth=depth))
-                        for ctx, fusion in variants]
             # per grid point, in query order: {query id: (session, frozen ranking)}
-            sweep: list[dict[str, tuple[SessionResult, tuple[str, ...]]]] = [{} for _ in points]
-            for query in engine.queries:
-                # one memo per (setting, query) holds the repeats across grid
-                # points; a wider one costs memory for few more hits
-                memo: dict = {}
-                for (ctx, scfg), results in zip(sessions, sweep):  # frees the last setting's results
-                    result = run_irf_session(query, engine.qrels, scfg, ctx, memo=memo)
-                    results[query.query_id] = result, freeze_ranking(result.frozen)
+            swept = sweep(engine, [(ctx, SessionConfig(per_iter=per_iter, iterations=iterations,
+                                                       rf_method=method, fusion=fusion, depth=depth))
+                                   for ctx, fusion in variants])
             if grids:
-                chosen = cross_validate_grid(query_ids, grids, lambda point: _score_sessions(
-                    sweep[points.index(point)], relevant, [objective])[objective].per_query, folds=folds, seed=seed)
+                chosen = cross_validate_grid([q.query_id for q in engine.queries], grids, lambda point: score_sessions(
+                    swept[points.index(point)], engine.qrels, [objective])[objective].per_query,
+                    folds=folds, seed=seed)
                 # fold order, which the trace file and the metrics' sums keep
-                results = {qid: sweep[points.index(point)][qid] for point, fold in chosen for qid in fold}
-                _write_json(out_dir / f"chosen_params_{tag}.json", [point for point, _ in chosen])
+                results = {qid: swept[points.index(point)][qid] for point, fold in chosen for qid in fold}
+                (out_dir / f"chosen_params_{tag}.json").write_text(
+                    json.dumps([point for point, _ in chosen], indent=2, sort_keys=True), encoding="utf-8")
             else:
-                results = sweep[0]
+                results = swept[0]
             write_ranked_ids(out_dir / f"run_irf_{tag}.txt",
                              [(qid, ranking) for qid, (_, ranking) in sorted(results.items())], tag=tag)
             write_trace(out_dir / f"trace_{tag}.jsonl", [result for result, _ in results.values()])
-            per_metric = _score_sessions(results, relevant, metrics)
+            per_metric = score_sessions(results, engine.qrels, metrics)
             _write_per_query_csv(out_dir / f"perquery_{tag}.csv", per_metric)
             row[f"{per_iter}x{iterations}"] = per_metric[objective].mean
+            del swept, results  # the next sweep holds only its own setting's sessions
         summary[method] = row
     write_summary_csv(out_dir / f"summary_{objective}.csv", summary, columns)
     return summary
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
@@ -255,11 +258,12 @@ def onerel_experiment(cfg: dict) -> dict[str, dict[str, float]]:
     for method in methods:
         all_draws = [(query, draw) for query in engine.queries for draw in run_one_rel_experiment(
             query, engine.qrels, method, engine.ctx, fusion=fusion, depth=depth, draws=draws, seed=seed)]
+        if not all_draws:
+            raise ValueError(f"{cfg['corpus']['queries']}: no query has two relevant passages in the collection")
         write_run(out_dir / f"run_onerel_{method}.txt", [d.ranking for _, d in all_draws], tag=f"onerel_{method}")
         per_metric = score_rankings(
             ((d.topic_id, d.ranking.ids(), engine.qrels.relevant_ids(query.query_id) - {d.fed_passage})
-             for query, d in all_draws),
-            metrics)
+             for query, d in all_draws), metrics)
         _write_per_query_csv(out_dir / f"perquery_onerel_{method}.csv", per_metric)
         summary[method] = {m: res.mean for m, res in per_metric.items()}
     write_summary_csv(out_dir / "summary_onerel.csv", summary, metrics)

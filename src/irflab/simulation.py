@@ -261,10 +261,9 @@ def run_irf_session(
 ) -> SessionResult:
     """Drive one simulated session; judgments come from the qrels' true labels.
 
-    ``memo`` holds the session steps already computed for this query, over
-    this context's collection, index and embedding model; sessions that share
-    it (say, one per grid point) compute each distinct step once. None
-    starts an empty one.
+    ``memo`` holds the steps already computed for this query over this
+    context's collection, index and embedding model (``experiments.sweep``
+    shares one among a query's sessions); None starts an empty one.
     """
     state = FeedbackState()
     model = _SessionModel(query, cfg.rf_method, ctx, {} if memo is None else memo)

@@ -31,11 +31,13 @@ from irflab.feedback import (
 )
 from irflab.fusion import FusionConfig, fused_rank
 from irflab.index import build_index
-from irflab.retrieval import RetrievalParams, rank_bm25, rank_ql, rank_rocchio
+from irflab.experiments import Engine, score_rankings, score_sessions, sweep
+from irflab.retrieval import RetrievalParams, rank_rocchio
 from irflab.simulation import (
     EngineContext,
     SessionConfig,
     freeze_ranking,
+    initial_ranking,
     run_irf_session,
     run_one_rel_experiment,
 )
@@ -266,13 +268,11 @@ TRAIN_8 = dict(dim=48, epochs=4, mode="pv_hdc_corrupted")
 LAMBDA_GRID_8 = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 
 
-def _mean_map(queries, qrels, scfg, ctx):
-    vals = [
-        evaluate_ranking(freeze_ranking(run_irf_session(q, qrels, scfg, ctx).frozen),
-                         qrels.relevant_ids(q.query_id), "map100")
-        for q in queries
-    ]
-    return float(np.mean(vals))
+def _initial_map(engine, method):
+    """Mean MAP@100 of the ranking a session of ``method`` starts from, as
+    run-irf's initial column reads it."""
+    return score_rankings(((q.query_id, initial_ranking(q, method, engine.ctx).ids(),
+                            engine.qrels.relevant_ids(q.query_id)) for q in engine.queries), ["map100"])["map100"].mean
 
 
 def test_c8_directional_replication():
@@ -280,7 +280,9 @@ def test_c8_directional_replication():
     retrieval; 1x10 is at least as good as 10x1 for RM3 and Rocchio on
     average; fused RM3 at 5x2 is at least as good as plain RM3 and better
     than ERM, the term-level semantic method, on >= 8 seeds each. Fused
-    RM3's lambda is the best of LAMBDA_GRID_8 on the evaluated queries."""
+    RM3's lambda is the best of LAMBDA_GRID_8 on the evaluated queries.
+    Each seed's sessions run in one sweep, so one memo per query serves
+    every method and setting."""
     start = time.time()
     methods = ("rm3", "distillation", "rocchio", "erm")
     beats_failures = []
@@ -289,39 +291,32 @@ def test_c8_directional_replication():
     erm_wins = 0
     for seed in range(10):
         coll, queries, qrels = generate(GeneratorConfig(seed=seed))
-        idx = build_index(coll)
         model = train_pv_hdc(coll, TrainConfig(seed=seed, **TRAIN_8))
-        ctx = EngineContext(collection=coll, index=idx, retrieval=RETRIEVAL_8,
+        ctx = EngineContext(collection=coll, index=build_index(coll), retrieval=RETRIEVAL_8,
                             feedback=FEEDBACK_8, erm=ERM_8, embeddings=model)
-        base_ql = float(np.mean([
-            evaluate_ranking(rank_ql(query_mle(q), idx, RETRIEVAL_8, 100, query_id=q.query_id).ids(),
-                             qrels.relevant_ids(q.query_id), "map100") for q in queries]))
-        base_bm = float(np.mean([
-            evaluate_ranking(rank_bm25(q, idx, RETRIEVAL_8, 100).ids(),
-                             qrels.relevant_ids(q.query_id), "map100") for q in queries]))
+        engine = Engine(ctx=ctx, queries=queries, qrels=qrels)
+        configs = {f"{m}_{n}x{i}": SessionConfig(per_iter=n, iterations=i, rf_method=m)
+                   for m in methods for n, i in ((10, 1), (1, 10))}
+        configs["rm3_5x2"] = SessionConfig(per_iter=5, iterations=2, rf_method="rm3")
+        configs["erm_5x2"] = SessionConfig(per_iter=5, iterations=2, rf_method="erm")
+        for lam in LAMBDA_GRID_8:
+            configs[f"fused{lam:g}_5x2"] = SessionConfig(
+                per_iter=5, iterations=2, rf_method="rm3",
+                fusion=FusionConfig(lambda_sf=lam, representation_mode="pvc"))
+        swept = sweep(engine, [(ctx, scfg) for scfg in configs.values()])
+        score = {tag: score_sessions(results, qrels, ["map100"])["map100"].mean
+                 for tag, results in zip(configs, swept)}
         for method in methods:
-            base = base_bm if method == "rocchio" else base_ql
-            for per_iter, iterations in ((10, 1), (1, 10)):
-                scfg = SessionConfig(per_iter=per_iter, iterations=iterations, rf_method=method)
-                score = _mean_map(queries, qrels, scfg, ctx)
-                by_setting[method][f"{per_iter}x{iterations}"].append(score)
-                if score <= base:
-                    beats_failures.append(f"seed {seed} {method} {per_iter}x{iterations} "
-                                          f"{score:.4f} <= base {base:.4f}")
-        plain = _mean_map(queries, qrels,
-                          SessionConfig(per_iter=5, iterations=2, rf_method="rm3"), ctx)
-        fused_best = max(
-            _mean_map(queries, qrels,
-                      SessionConfig(per_iter=5, iterations=2, rf_method="rm3",
-                                    fusion=FusionConfig(lambda_sf=lam, representation_mode="pvc")),
-                      ctx)
-            for lam in LAMBDA_GRID_8
-        )
-        if fused_best >= plain:
+            base = _initial_map(engine, method)  # BM25 for rocchio, QL for the others
+            for setting in ("10x1", "1x10"):
+                got = score[f"{method}_{setting}"]
+                by_setting[method][setting].append(got)
+                if got <= base:
+                    beats_failures.append(f"seed {seed} {method} {setting} {got:.4f} <= base {base:.4f}")
+        fused_best = max(score[f"fused{lam:g}_5x2"] for lam in LAMBDA_GRID_8)
+        if fused_best >= score["rm3_5x2"]:
             fusion_wins += 1
-        erm = _mean_map(queries, qrels,
-                        SessionConfig(per_iter=5, iterations=2, rf_method="erm"), ctx)
-        if fused_best > erm:
+        if fused_best > score["erm_5x2"]:
             erm_wins += 1
     iter_ok = all(
         np.mean(by_setting[m]["1x10"]) >= np.mean(by_setting[m]["10x1"])
@@ -362,14 +357,12 @@ def test_c9_full_collection_reproduction(collection_name):
     queries = [q for q in load_queries(root / "queries.tsv", tokenizer) if q.tokens]
     qrels = load_qrels(root / "qrels.txt")
     idx = build_index(collection)
-    params = RetrievalParams(mu=1000.0)
-    ctx = EngineContext(collection=collection, index=idx, retrieval=params,
+    ctx = EngineContext(collection=collection, index=idx, retrieval=RetrievalParams(mu=1000.0),
                         feedback=FeedbackParams(m=20, alpha_interp=0.5))
-    ql_map = float(np.mean([
-        evaluate_ranking(rank_ql(query_mle(q), idx, params, 100, query_id=q.query_id).ids(),
-                         qrels.relevant_ids(q.query_id), "map100") for q in queries]))
-    rm3_map = _mean_map(queries, qrels,
-                        SessionConfig(per_iter=1, iterations=10, rf_method="rm3"), ctx)
+    engine = Engine(ctx=ctx, queries=queries, qrels=qrels)
+    ql_map = _initial_map(engine, "rm3")
+    [rm3] = sweep(engine, [(ctx, SessionConfig(per_iter=1, iterations=10, rf_method="rm3"))])
+    rm3_map = score_sessions(rm3, qrels, ["map100"])["map100"].mean
     p1 = []
     for q in queries:
         for d in run_one_rel_experiment(q, qrels, "ql", ctx, draws=10, seed=0):

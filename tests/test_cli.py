@@ -6,6 +6,7 @@ import logging
 
 import pytest
 
+from irflab import experiments
 from irflab.cli import build_parser, main
 from irflab.config import ConfigError
 from irflab.corpus import TokenizerConfig
@@ -147,6 +148,38 @@ class TestRunIrf:
             assert list(read_run(out_dir / f"run_irf_{method}_1x2.txt")) == ["q1"]
         assert [r.getMessage() for r in caplog.records if "q2" in r.getMessage()] == [
             "query q2: no token occurs in the collection; dropped"]
+
+    @pytest.mark.parametrize("command", ["run-irf", "run-onerel"])
+    def test_no_query_left_to_evaluate_exits_1(self, tmp_path, capsys, command):
+        # every query used to be dropped, and the run wrote empty runs and summaries of 0
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"p{i}", "doc_id": f"d{i}", "text": text}) + "\n"
+            for i, text in enumerate(["apple pie", "apple tart", "banana split"])))
+        (tmp_path / "queries.tsv").write_text("q1\tzucchini\nq2\tkale soup\n")
+        (tmp_path / "qrels.txt").write_text("q1 0 p0 1\nq1 0 p1 1\nq2 0 p2 1\n")
+        out_dir = tmp_path / "out"
+        cfg = experiment_config(tmp_path, out_dir)
+        assert run_cli(command, "--config", write_config(tmp_path / "cfg.json", cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'queries.tsv'}: no query has a token in the collection" in err
+        assert not out_dir.exists()
+
+    def test_more_folds_than_kept_queries_exits_2_before_any_session(
+            self, synth_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_irf_session", lambda *args, **kwargs: calls.append(args))
+        out_dir = tmp_path / "out"
+        # rocchio has no k1 grid and runs first; rm3 is tuned over mu
+        cfg = experiment_config(synth_dir, out_dir, feedback={"methods": ["rocchio", "rm3"], "m": 5})
+        cfg["retrieval"]["mu_grid"] = [30.0, 300.0]
+        cfg["evaluation"]["folds"] = 9
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 2
+        err = capsys.readouterr().err
+        assert "config error: evaluation.folds is 9, more than the 8 queries kept" in err
+        assert calls == [] and not out_dir.exists()
+        monkeypatch.undo()
+        del cfg["retrieval"]["mu_grid"]  # with no grid the folds go unused
+        assert run_cli("run-irf", "--config", write_config(tmp_path / "cfg.json", cfg)) == 0
 
     def test_query_whose_terms_are_in_every_passage_is_ranked_by_rocchio(self, tmp_path):
         # q2's one term is in every passage, so its tf-idf vector is empty; rocchio
@@ -449,6 +482,21 @@ class TestRunOnerel:
         run = read_run(out_dir / "run_onerel_rm3.txt")
         assert len(run) == 8 * 3  # (query, draw) topics
         assert (out_dir / "summary_onerel.csv").exists()
+
+    def test_no_query_with_two_relevant_passages_exits_1(self, tmp_path, capsys):
+        # every query used to be skipped, and the run wrote empty runs and summaries of 0
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"p{i}", "doc_id": f"d{i}", "text": text}) + "\n"
+            for i, text in enumerate(["apple pie", "apple tart", "banana split"])))
+        (tmp_path / "queries.tsv").write_text("q1\tapple\nq2\tbanana\n")
+        # q1's second relevant passage is not in the collection
+        (tmp_path / "qrels.txt").write_text("q1 0 p0 1\nq1 0 p9 1\nq2 0 p2 1\n")
+        out_dir = tmp_path / "out"
+        cfg = experiment_config(tmp_path, out_dir, onerel={"methods": ["ql", "rm3"]})
+        assert run_cli("run-onerel", "--config", write_config(tmp_path / "cfg.json", cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'queries.tsv'}: no query has two relevant passages in the collection" in err
+        assert not list(out_dir.iterdir())
 
     def test_seeded_rerun_identical(self, synth_dir, tmp_path):
         outs = []

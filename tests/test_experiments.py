@@ -1,6 +1,8 @@
-"""run-irf's query-major sweep and the session-step memo it shares."""
+"""``experiments.sweep``, the query-major session sweep, and the session-step
+memo its sessions share."""
 
 from collections import Counter
+from dataclasses import replace
 from types import MappingProxyType
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 from irflab import experiments, simulation
 from irflab.embeddings import EmbeddingModel, save_model
 from irflab.feedback import FeedbackState, update_pools
+from irflab.fusion import FusionConfig
 from irflab.retrieval import rank_ql
-from irflab.simulation import _SessionModel, run_irf_session
+from irflab.simulation import SessionConfig, _SessionModel, freeze_ranking, run_irf_session, write_trace
 from irflab.synthgen import GeneratorConfig, generate, write_dataset
 
 from conftest import make_query, ranking_of, session_of
@@ -106,6 +109,50 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def engine(sweep_config):
     return experiments.load_engine(sweep_config)
+
+
+class TestMixedSweep:
+    """One memo per query across methods, settings, parameters and fusion,
+    as C8 runs its sessions; run-irf's sweeps mix only grid points."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self, engine):
+        ctx = engine.ctx
+        fusion = FusionConfig(lambda_sf=2.0, representation_mode="pvc")
+        out = []
+        for per_iter, iterations in SETTINGS:
+            for method in METHODS:
+                out.append((ctx, SessionConfig(per_iter=per_iter, iterations=iterations, rf_method=method)))
+            out.append((replace(ctx, retrieval=replace(ctx.retrieval, mu=MU_GRID[0])),
+                        SessionConfig(per_iter=per_iter, iterations=iterations, rf_method="rm3")))
+            out.append((ctx, SessionConfig(per_iter=per_iter, iterations=iterations, rf_method="rm3",
+                                           fusion=fusion)))
+        return out
+
+    def test_every_session_equals_a_fresh_one(self, engine, sessions, tmp_path):
+        swept = experiments.sweep(engine, sessions)
+        assert len(swept) == len(sessions)
+        for (ctx, scfg), results in zip(sessions, swept):
+            assert list(results) == [q.query_id for q in engine.queries]
+            fresh = [run_irf_session(query, engine.qrels, scfg, ctx) for query in engine.queries]
+            for result, (got, ids) in zip(fresh, results.values()):
+                assert ids == freeze_ranking(result.frozen)
+                assert session_of(got) == session_of(result)
+            write_trace(tmp_path / "swept.jsonl", [got for got, _ in results.values()])
+            write_trace(tmp_path / "fresh.jsonl", fresh)
+            rows = (tmp_path / "swept.jsonl").read_bytes()
+            assert rows and rows == (tmp_path / "fresh.jsonl").read_bytes()
+
+    def test_results_do_not_depend_on_the_order_of_sessions(self, engine, sessions):
+        def comparable(swept):
+            return [{qid: (ids, session_of(result)) for qid, (result, ids) in results.items()}
+                    for results in swept]
+
+        forward = comparable(experiments.sweep(engine, sessions))
+        order = np.random.default_rng(3).permutation(len(sessions))
+        shuffled = comparable(experiments.sweep(engine, [sessions[i] for i in order]))
+        assert [shuffled[j] for j in np.argsort(order)] == forward
+        assert comparable(experiments.sweep(engine, sessions[::-1]))[::-1] == forward
 
 
 class TestSessionMemo:
